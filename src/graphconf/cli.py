@@ -13,7 +13,6 @@ import sys
 from . import graphs as gr
 from . import pi1
 from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_complex
-from .abrams import quotient as abrams_quotient
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
 from .model import model_complex
@@ -28,6 +27,13 @@ _FAMILIES = {
     "xb": (lambda a: gr.double_hub_graph(a.x, a.k, a.l, a.p, a.q), ("x", "k", "l", "p", "q")),
     "path": (lambda a: gr.path_graph(a.n), ("n",)),
     "theta": (lambda a: gr.theta_graph(), ()),
+}
+
+# flag -> the commands that use it; any other command refuses it
+_FLAG_USERS = {
+    "quotient": ("model", "reduced"),
+    "collapse": ("model",),
+    "subdivide": ("compare",),
 }
 
 _GEN_LIMITS = {"n": 6, "k": 4, "l": 4, "x": 3, "p": 4, "q": 4}
@@ -58,6 +64,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--subdivide", type=int, default=None)
         p.add_argument("--out")
     return top
+
+
+def _refuse_unused_flags(args) -> None:
+    for flag, users in _FLAG_USERS.items():
+        value = getattr(args, flag, None)  # gen has none of these flags
+        if value is not None and value is not False and args.command not in users:
+            plural = "s" if len(users) > 1 else ""
+            raise InputError(f"--{flag} is only used by the {' and '.join(users)} command{plural}")
 
 
 def _report_of_complex(s: SemiSimplicialSet) -> dict:
@@ -109,8 +123,6 @@ def cmd_model(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    if args.subdivide is not None:
-        raise InputError("--subdivide is only used by the compare command")
     s = model_complex(
         g,
         args.k,
@@ -140,8 +152,6 @@ def cmd_braidgroup(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    if args.subdivide is not None:
-        raise InputError("--subdivide is only used by the compare command")
     ordered = model_complex(g, args.k, drop_leaves=args.remove_leaves)
     unordered = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True)
     return {"ordered": _group_report(ordered), "unordered": _group_report(unordered)}
@@ -175,8 +185,6 @@ def cmd_reduced(args) -> dict:
     g = _load(args.graph)
     if args.k != 2:
         raise InputError("the reduced model is defined for k = 2 only")
-    if args.subdivide is not None:
-        raise InputError("--subdivide is only used by the compare command")
     if args.remove_leaves:
         g = gr.remove_leaves(g)
     gc = build_reduced(g)
@@ -211,6 +219,7 @@ def main(argv=None) -> int:
         "reduced": cmd_reduced,
     }
     try:
+        _refuse_unused_flags(args)
         report = handlers[args.command](args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -218,7 +227,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InternalError, AssertionError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))

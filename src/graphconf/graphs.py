@@ -273,6 +273,17 @@ def graph_from_json(data) -> Graph:
         specs = [(e["id"], e["ends"][0], e["ends"][1]) for e in data["edges"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    if not isinstance(verts, list):
+        raise ValueError("graph JSON \"vertices\" must be a list")
+    for v in verts:
+        if not isinstance(v, str):
+            raise ValueError(f"vertex id {v!r} is not a string")
+    for eid, lo, hi in specs:
+        if not isinstance(eid, str):
+            raise ValueError(f"edge id {eid!r} is not a string")
+        for end in (lo, hi):
+            if end is not None and not isinstance(end, str):
+                raise ValueError(f"edge {eid!r} has an end {end!r} that is neither a string nor null")
     return build_graph(verts, specs)
 
 

@@ -5,7 +5,12 @@ convention d = sum_i (-1)^i d_i, fixed once here and reused by the cubical
 and glued complexes.  Smith normal forms run in two phases: a sparse sweep
 that splits off unit pivots (which is almost all of a cellular boundary
 matrix), then a textbook reduction of the small remaining core over Python
-integers, so no intermediate value ever overflows.
+integers, so no intermediate value ever overflows.  The sweep takes its
+pivots in Markowitz order, the one that creates the least fill, and only
+the core's factors need the divisibility normalisation, since a unit
+divides everything; both keep the work near-linear in the nonzeros of a
+boundary matrix.  Invariant factors are unique, so neither choice can
+change a result.
 """
 
 from dataclasses import dataclass, field
@@ -86,46 +91,60 @@ def _unit_pivot_sweep(entries: dict) -> tuple[int, dict]:
     Returns (number of unit pivots, remaining core entries).  With a unit
     pivot the column is cleared by row operations and the row then clears
     for free, so the matrix decomposes as diag(1) (+) core at each step.
-    Candidate pivots sit in a heap with lazy invalidation, keeping the
-    sweep near-linear in the number of fill operations.
+
+    Pivots are taken in Markowitz order: the candidate +-1 entry with the
+    smallest (len(row) - 1) * (len(col) - 1), the most fill one
+    elimination can create, ties broken by position.  Candidates sit in a
+    heap with lazy invalidation; an entry whose cost has changed since it
+    was pushed is re-keyed when popped.  The order changes how many unit
+    pivots are found and what core is left, but not the invariant factors:
+    each step is unimodular, so diag(1) (+) core always has the Smith form
+    of the input, and that form is unique.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set] = {}
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    heap = sorted(pos for pos, v in entries.items() if v in (1, -1))
+
+    def cost(r, c):
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    heap = [(cost(r, c), r, c) for (r, c), v in entries.items() if v in (1, -1)]
     heapify(heap)
     count = 0
     while heap:
-        r, c = heappop(heap)
+        key, r, c = heappop(heap)
         row = rows.get(r)
         if row is None or row.get(c) not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now != key:
+            heappush(heap, (now, r, c))
             continue
         piv = row[c]
         count += 1
         row_r = rows.pop(r)
         for cc in row_r:
             cols[cc].discard(r)
-        for rr in list(cols.get(c, ())):
-            factor = rows[rr][c] * piv  # piv in {1,-1}: multiplier of row r
+        for rr in cols.pop(c):
             target = rows[rr]
+            factor = target.pop(c) * piv  # piv in {1,-1}: multiplier of row r
             for cc, v in row_r.items():
                 if cc == c:
                     continue
                 nv = target.get(cc, 0) - factor * v
                 if nv:
+                    if cc not in target:
+                        cols[cc].add(rr)
                     target[cc] = nv
-                    cols.setdefault(cc, set()).add(rr)
                     if nv in (1, -1):
-                        heappush(heap, (rr, cc))
+                        heappush(heap, (cost(rr, cc), rr, cc))
                 else:
-                    target.pop(cc, None)
+                    del target[cc]
                     cols[cc].discard(rr)
-            del target[c]
             if not target:
                 del rows[rr]
-        cols.pop(c, None)
     core = {(r, c): v for r, row in rows.items() for c, v in row.items()}
     return count, core
 
@@ -225,12 +244,12 @@ def smith_normal_form(matrix) -> tuple[tuple, int]:
         }
     units, core = _unit_pivot_sweep(entries)
     tail = _dense_smith(core)
+    # normalize the divisibility chain of the core; units divide everything
+    for i in range(len(tail)):
+        for j in range(i + 1, len(tail)):
+            g = gcd(tail[i], tail[j])
+            tail[i], tail[j] = g, tail[i] // g * tail[j]
     factors = [1] * units + tail
-    # normalize the divisibility chain
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = gcd(factors[i], factors[j])
-            factors[i], factors[j] = g, factors[i] // g * factors[j]
     return tuple(factors), len(factors)
 
 

@@ -32,7 +32,7 @@ cell; triangles are the length-2 chains):
 from dataclasses import dataclass
 
 from . import cells as cl
-from .errors import Disconnected, HasLeaves
+from .errors import Disconnected, HasLeaves, InternalError
 from .graphs import EdgeClass, Graph, classify_edge, is_connected, valency
 from .homology import ChainComplex
 from .model import Model, build_model, symmetric_action
@@ -193,7 +193,7 @@ def build_reduced(g: Graph) -> GluedComplex:
             row = []
             for f in s.faces[n][i]:
                 if f not in pos[n - 1]:
-                    raise AssertionError("retained chain has a dropped face")
+                    raise InternalError("retained chain has a dropped face")
                 row.append(pos[n - 1][f])
             rows.append(tuple(row))
         faces.append(rows)
@@ -224,7 +224,7 @@ def reduced_symmetric_action(gc: GluedComplex) -> list:
             for old in level:
                 image = maps[n][old]
                 if image not in pos:
-                    raise AssertionError("retained set is not action-invariant")
+                    raise InternalError("retained set is not action-invariant")
                 row.append(pos[image])
             restricted.append(row)
         out.append(restricted)

@@ -170,3 +170,37 @@ def test_stdout_carries_json_only(capsys, tmp_path):
     code, out, _ = run(capsys, "model", "--graph", path, "-k", "2")
     json.loads(out)  # a single JSON document, nothing else
     assert out.endswith("\n") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": [1, "a"], "edges": []},
+        {"vertices": "ab", "edges": []},
+        {"vertices": ["a"], "edges": [{"id": 7, "ends": ["a", "a"]}]},
+        {"vertices": ["a"], "edges": [{"id": "e", "ends": ["a", ["a"]]}]},
+    ],
+    ids=["int-vertex-id", "string-vertices", "int-edge-id", "list-edge-end"],
+)
+def test_exit_code_ids_not_strings(capsys, tmp_path, graph):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "model", "--graph", str(bad), "-k", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("compare", ["--quotient"]),
+        ("compare", ["--collapse"]),
+        ("braidgroup", ["--quotient"]),
+        ("braidgroup", ["--collapse"]),
+        ("reduced", ["--collapse"]),
+        ("model", ["--subdivide", "0"]),
+    ],
+)
+def test_unused_flags_refused(capsys, tmp_path, command, flags):
+    path = write_graph(capsys, tmp_path, "s1_min")
+    code, out, err = run(capsys, command, "--graph", path, "-k", "2", *flags)
+    assert code == 3 and out == "" and f"{flags[0]} is only used by" in err

@@ -10,6 +10,7 @@ from graphconf import graphs as gr
 from graphconf.errors import NotAComplex
 from graphconf.homology import (
     ChainComplex,
+    _dense_smith,
     chain_complex,
     connected_components,
     euler_characteristic,
@@ -175,3 +176,56 @@ def test_betti_invariant_under_relabeling():
     random.Random(3).shuffle(perm)
     shuffled = {(perm[r], c): v for (r, c), v in cc.boundaries[0].items()}
     assert homology(ChainComplex(cc.sizes, [shuffled])).betti == homology(cc).betti
+
+
+def _mixed_sparse_matrix(rng, m, n, torsion):
+    """Sparse matrix dominated by +-1 entries, with the torsion block hidden
+    by a few unimodular row and column additions."""
+    a = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < 0.3:
+                a[i][j] = rng.choice((1, -1, 1, -1, 2))
+    for t, d in enumerate(torsion):  # a diagonal block diag(torsion) in the corner
+        i, j = m - 1 - t, n - 1 - t
+        for jj in range(n):
+            a[i][jj] = 0
+        for ii in range(m):
+            a[ii][j] = 0
+        a[i][j] = d
+    for _ in range(3):
+        src, dst = rng.sample(range(m), 2)
+        a[dst] = [x + y for x, y in zip(a[dst], a[src])]
+        src, dst = rng.sample(range(n), 2)
+        for row in a:
+            row[dst] += row[src]
+    rng.shuffle(a)
+    return a
+
+
+def test_snf_sparse_unit_heavy_against_minors_oracle():
+    rng = random.Random(17)
+    torsion_in_core = 0
+    for case in range(40):
+        m, n = rng.randint(6, 8), rng.randint(6, 8)
+        torsion = [(2,), (3,), (2, 4), ()][case % 4]
+        a = _mixed_sparse_matrix(rng, m, n, torsion)
+        factors, rank = smith_normal_form(a)
+        expect = invariant_factors_by_minors(tuple(tuple(row) for row in a))
+        assert list(factors) == expect
+        assert rank == len(expect)
+        torsion_in_core += any(f > 1 for f in factors)
+    assert torsion_in_core >= 20
+
+
+def test_snf_sparse_unit_heavy_against_dense_reduction():
+    # larger than the minors oracle can handle: the sweep-then-core path
+    # must agree with the textbook reduction of the whole matrix
+    rng = random.Random(29)
+    for case in range(12):
+        m, n = rng.randint(20, 30), rng.randint(20, 30)
+        a = _mixed_sparse_matrix(rng, m, n, [(2,), (3, 6), ()][case % 3])
+        entries = {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+        factors, rank = smith_normal_form(a)
+        assert list(factors) == _dense_smith(entries)
+        assert rank == len(factors)

@@ -1,11 +1,12 @@
 import pytest
 
 from graphconf import graphs as gr
-from graphconf.errors import EmptyComplex, InvalidCategory, NonFreeAction
+from graphconf.errors import EmptyComplex, InternalError, InvalidCategory, NonFreeAction
 from graphconf.homology import chain_complex, homology
 from graphconf.model import build_model, model_complex, symmetric_action
 from graphconf.nerve import (
     AcyclicCategory,
+    SemiSimplicialSet,
     build_nerve,
     collapse_free_faces,
     dimension,
@@ -156,6 +157,48 @@ def test_collapse_segment_to_point():
 def test_collapse_fixed_point():
     s = model_complex(gr.minimal_circle(), 2)  # a circle: nothing is free
     assert collapse_free_faces(s).fvector() == s.fvector()
+
+
+def collapse_by_rescan(s):
+    """Reference collapse: recount the alive cofaces of every chain before
+    testing it, scanning by ascending dimension then index to a fixed point.
+    Returns the surviving chain indices per dimension."""
+    alive = [[True] * len(level) for level in s.labels]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(len(s.labels) - 1):
+            for t in range(len(s.labels[n])):
+                inc = [c for c, fs in enumerate(s.faces[n + 1]) if alive[n + 1][c] for f in fs if f == t]
+                if alive[n][t] and len(inc) == 1:
+                    alive[n][t] = alive[n + 1][inc[0]] = False
+                    changed = True
+    return [[i for i, ok in enumerate(level) if ok] for level in alive]
+
+
+@pytest.mark.parametrize(
+    "g, k, fvector",
+    [(gr.theta_graph(), 3, (24, 36)), (gr.y_graph(), 2, (12, 12))],
+    ids=["theta-k3", "y-k2"],
+)
+def test_collapse_matches_rescan_reference(g, k, fvector):
+    s = model_complex(g, k)
+    out = collapse_free_faces(s)
+    assert out.fvector() == fvector
+    kept = [level for level in collapse_by_rescan(s) if level]
+    assert out.labels == [[s.labels[n][i] for i in level] for n, level in enumerate(kept)]
+    for n in range(1, len(kept)):
+        pos = {i: j for j, i in enumerate(kept[n - 1])}
+        assert out.faces[n] == [tuple(pos[f] for f in s.faces[n][i]) for i in kept[n]]
+
+
+def test_face_identity_failure_is_internal_error():
+    s = model_complex(gr.theta_graph(), 2)
+    faces = [list(level) for level in s.faces]
+    a, b, c = faces[2][0]
+    faces[2][0] = (a, c, b)
+    with pytest.raises(InternalError):
+        SemiSimplicialSet(s.labels, faces).validate_face_identities()
 
 
 def test_collapse_preserves_betti():
