@@ -23,7 +23,7 @@ from .graphs import (
     subdivide,
     valency,
 )
-from .homology import ChainComplex, chain_complex, euler_characteristic, homology, smith_normal_form
+from .homology import ChainComplex, chain_complex, euler_characteristic, smith_normal_form
 from .model import build_model, face_category, model_complex
 from .nerve import SemiSimplicialSet, build_nerve, collapse_free_faces, dimension, quotient_by_free_action
 from .pi1 import Presentation, abelianization, free_rank, presentation, simplify, spanning_tree
@@ -60,7 +60,6 @@ __all__ = [
     "face_category",
     "free_rank",
     "glued_chain_complex",
-    "homology",
     "in_discriminant",
     "model_complex",
     "presentation",

@@ -166,9 +166,10 @@ def _girth(g: Graph) -> int | None:
     return best
 
 
-def _boundary_entries(g: Graph, level_hi, index_lo) -> dict:
+def _boundary_entries(g: Graph, level_hi, face_row) -> dict:
     """Cubical boundary: replace each edge factor by its two endpoints with
-    sign (-1)^(number of earlier edge factors)."""
+    sign (-1)^(number of earlier edge factors).  ``face_row`` maps each face
+    to its row and the orientation sign it enters that row with."""
     entries: dict[tuple[int, int], int] = {}
     for j, cube in enumerate(level_hi):
         edge_positions = [i for i, c in enumerate(cube) if c[0] == "e"]
@@ -176,9 +177,9 @@ def _boundary_entries(g: Graph, level_hi, index_lo) -> dict:
             e = g.edge(cube[pos][1])
             sign = (-1) ** p
             for end, s in ((e.end_plus, sign), (e.end_minus, -sign)):
-                face = cube[:pos] + (("v", end),) + cube[pos + 1:]
-                key = (index_lo[face], j)
-                entries[key] = entries.get(key, 0) + s
+                row, orient = face_row[cube[:pos] + (("v", end),) + cube[pos + 1:]]
+                key = (row, j)
+                entries[key] = entries.get(key, 0) + s * orient
     return {k: v for k, v in entries.items() if v}
 
 
@@ -186,8 +187,8 @@ def cubical_chain_complex(a: AbramsComplex) -> ChainComplex:
     sizes = [len(level) for level in a.cells]
     boundaries = []
     for n in range(1, len(sizes)):
-        index_lo = {cell: i for i, cell in enumerate(a.cells[n - 1])}
-        boundaries.append(_boundary_entries(a.graph, a.cells[n], index_lo))
+        face_row = {cell: (i, 1) for i, cell in enumerate(a.cells[n - 1])}
+        boundaries.append(_boundary_entries(a.graph, a.cells[n], face_row))
     return ChainComplex(sizes, boundaries)
 
 
@@ -230,25 +231,11 @@ def quotient(a: AbramsComplex) -> ChainComplex:
         for sigma in permutations(range(a.k)):
             if sigma != tuple(range(a.k)) and tuple(cube[i] for i in sigma) == cube:
                 raise NonFreeAction("repeated factors in a cube cell")
-    reps = []
-    rep_index = []
-    for level in a.cells:
-        seen = sorted({_orbit_rep(cube)[0] for cube in level})
-        reps.append(seen)
-        rep_index.append({cell: i for i, cell in enumerate(seen)})
-    sizes = [len(level) for level in reps]
+    orbits = [{cube: _orbit_rep(cube) for cube in level} for level in a.cells]
+    reps = [sorted({rep for rep, _ in orbit.values()}) for orbit in orbits]
     boundaries = []
-    for n in range(1, len(sizes)):
-        entries: dict[tuple[int, int], int] = {}
-        for j, cube in enumerate(reps[n]):
-            edge_positions = [i for i, c in enumerate(cube) if c[0] == "e"]
-            for p, pos in enumerate(edge_positions):
-                e = a.graph.edge(cube[pos][1])
-                sign = (-1) ** p
-                for end, s in ((e.end_plus, sign), (e.end_minus, -sign)):
-                    face = cube[:pos] + (("v", end),) + cube[pos + 1:]
-                    rep, orient = _orbit_rep(face)
-                    key = (rep_index[n - 1][rep], j)
-                    entries[key] = entries.get(key, 0) + s * orient
-        boundaries.append({k: v for k, v in entries.items() if v})
-    return ChainComplex(sizes, boundaries)
+    for n in range(1, len(reps)):
+        rep_row = {rep: i for i, rep in enumerate(reps[n - 1])}
+        face_row = {cube: (rep_row[rep], orient) for cube, (rep, orient) in orbits[n - 1].items()}
+        boundaries.append(_boundary_entries(a.graph, reps[n], face_row))
+    return ChainComplex([len(level) for level in reps], boundaries)

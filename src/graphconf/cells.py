@@ -30,6 +30,31 @@ INTERIOR = 0
 END_MINUS = -1
 END_PLUS = 1
 
+_DATA_SYMBOL = {INTERIOR: ".", END_MINUS: "-", END_PLUS: "+"}
+
+
+def compose_data(d2: tuple, d1: tuple) -> tuple:
+    """Datum of d1 followed by d2.
+
+    Per coordinate the composite datum is whichever morphism first sent the
+    coordinate to an end: d2's entry if it is an end, else d1's (both taken
+    relative to the final target's edges, which agree with the middle
+    cell's on d2-interior coordinates).
+    """
+    return tuple(b if b != INTERIOR else a for a, b in zip(d1, d2))
+
+
+def data_label(data: tuple) -> str:
+    return "".join(_DATA_SYMBOL[d] for d in data)
+
+
+def relocate(sigma: tuple[int, ...], seq: tuple) -> tuple:
+    """Move the entry at coordinate j to coordinate sigma[j]."""
+    out = list(seq)
+    for j, s in enumerate(sigma):
+        out[s] = seq[j]
+    return tuple(out)
+
 # Entry kinds: entries are ("v", id) or ("e", id); kind rank orders vertices
 # before edges so sorting cells is well defined.
 _KIND_RANK = {"v": 0, "e": 1}
@@ -89,8 +114,7 @@ class CellMorphism:
         return all(d == INTERIOR for d in self.data) and self.source == self.target
 
     def label(self) -> str:
-        sym = {INTERIOR: ".", END_MINUS: "-", END_PLUS: "+"}
-        return f"{self.source.label()}>{''.join(sym[d] for d in self.data)}>{self.target.label()}"
+        return f"{self.source.label()}>{data_label(self.data)}>{self.target.label()}"
 
 
 def ordered_partitions(items: tuple):
@@ -261,18 +285,10 @@ def enumerate_morphisms(c: BraidCell, d: BraidCell) -> list[CellMorphism]:
 
 
 def compose(m2: CellMorphism, m1: CellMorphism) -> CellMorphism:
-    """Composite of m1: c -> d with m2: d -> f.
-
-    Per coordinate the composite datum is whichever morphism first sent the
-    coordinate to an end: m2's datum if it is an end, else m1's (both taken
-    relative to f's edges, which agree with d's on m2-interior coordinates).
-    """
+    """Composite of m1: c -> d with m2: d -> f; its datum is compose_data."""
     if m1.target != m2.source:
         raise NonComposable("target of first morphism differs from source of second")
-    data = tuple(
-        b if b != INTERIOR else a for a, b in zip(m1.data, m2.data)
-    )
-    return CellMorphism(m1.source, m2.target, data)
+    return CellMorphism(m1.source, m2.target, compose_data(m2.data, m1.data))
 
 
 def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
@@ -280,10 +296,7 @@ def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
     entry_{sigma^-1(i)}, and block members are relabeled by sigma."""
     if len(sigma) != c.k:
         raise WrongDegree("permutation degree differs from k")
-    inv = [0] * c.k
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    entries = tuple(c.entries[inv[i]] for i in range(c.k))
+    entries = relocate(sigma, c.entries)
     parts = {}
     for eid, part in c.blocks:
         parts[eid] = tuple(tuple(sorted(sigma[j] for j in blk)) for blk in part)
@@ -293,11 +306,9 @@ def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
 def act_on_morphism(sigma: tuple[int, ...], m: CellMorphism) -> CellMorphism:
     if len(sigma) != m.target.k:
         raise WrongDegree("permutation degree differs from k")
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    data = tuple(m.data[inv[i]] for i in range(len(sigma)))
-    return CellMorphism(act_on_cell(sigma, m.source), act_on_cell(sigma, m.target), data)
+    return CellMorphism(
+        act_on_cell(sigma, m.source), act_on_cell(sigma, m.target), relocate(sigma, m.data)
+    )
 
 
 def act(sigma: tuple[int, ...], x):

@@ -15,7 +15,7 @@ from . import pi1
 from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_complex
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import model_complex
+from .model import build_model, model_complex, unordered_complex
 from .nerve import EmptyComplex, SemiSimplicialSet, dimension, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
@@ -152,9 +152,18 @@ def cmd_braidgroup(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    ordered = model_complex(g, args.k, drop_leaves=args.remove_leaves)
-    unordered = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True)
-    return {"ordered": _group_report(ordered), "unordered": _group_report(unordered)}
+    if args.remove_leaves:
+        g = gr.remove_leaves(g)
+    model = build_model(g, args.k)
+    return {
+        "ordered": _group_report(model.complex),
+        "unordered": _group_report(unordered_complex(model)),
+    }
+
+
+def _same_padded(a: list, b: list, fill) -> bool:
+    n = max(len(a), len(b))
+    return a + [fill] * (n - len(a)) == b + [fill] * (n - len(b))
 
 
 def cmd_compare(args) -> dict:
@@ -170,14 +179,18 @@ def cmd_compare(args) -> dict:
     abrams_cc = cubical_chain_complex(away)
     model_report = _report_of_complex(model_complex(g, args.k, drop_leaves=args.remove_leaves))
     abrams_report = _cc_report(abrams_cc)
-    pad = max(len(model_report["betti"]), len(abrams_report["betti"]))
-    model_betti = model_report["betti"] + [0] * (pad - len(model_report["betti"]))
-    abrams_betti = abrams_report["betti"] + [0] * (pad - len(abrams_report["betti"]))
+    # the cross-check passes only on a subdivision where Abrams' complex is
+    # homotopy-correct, and only if the whole homology agrees
+    match = (
+        conditions.ok
+        and _same_padded(model_report["betti"], abrams_report["betti"], 0)
+        and _same_padded(model_report["torsion"], abrams_report["torsion"], [])
+    )
     return {
         "model": model_report,
         "abrams": abrams_report,
         "conditions": conditions.to_json(),
-        "match": model_betti == abrams_betti,
+        "match": match,
     }
 
 

@@ -13,9 +13,9 @@ from . import graphs as gr
 from .nerve import AcyclicCategory, SemiSimplicialSet, build_nerve, collapse_free_faces, quotient_by_free_action
 
 
-def face_category(g: gr.Graph, k: int) -> AcyclicCategory:
-    """Acyclic category of configuration cells with the canonical morphisms."""
-    objs = cl.configuration_cells(g, k)
+def face_category(objs: list) -> AcyclicCategory:
+    """Acyclic category on the given configuration cells, listed in
+    canonical order, with the canonical morphisms."""
     index = {c: i for i, c in enumerate(objs)}
     morphisms = []
     for tgt, d in enumerate(objs):
@@ -25,18 +25,9 @@ def face_category(g: gr.Graph, k: int) -> AcyclicCategory:
         [c.label() for c in objs],
         [c.dimension for c in objs],
         morphisms,
-        _compose_data,
-        key_label=_data_label,
+        cl.compose_data,
+        key_label=cl.data_label,
     )
-
-
-def _compose_data(d2: tuple, d1: tuple) -> tuple:
-    return tuple(b if b != cl.INTERIOR else a for a, b in zip(d1, d2))
-
-
-def _data_label(data: tuple) -> str:
-    sym = {cl.INTERIOR: ".", cl.END_MINUS: "-", cl.END_PLUS: "+"}
-    return "".join(sym[d] for d in data)
 
 
 @dataclass
@@ -50,52 +41,43 @@ class Model:
 
 def build_model(g: gr.Graph, k: int) -> Model:
     objs = cl.configuration_cells(g, k)
-    cat = face_category(g, k)
+    cat = face_category(objs)
     return Model(g, k, cat, build_nerve(cat), objs)
 
 
 def symmetric_action(model: Model) -> list:
     """Chain-level automorphisms of the nerve for every nonidentity
-    coordinate permutation, in the format quotient_by_free_action expects."""
+    coordinate permutation, in the format quotient_by_free_action expects.
+
+    Only cells are acted on; a morphism (s, t, data) goes to the stored
+    morphism (obj_map[s], obj_map[t], data relocated by sigma), and a chain
+    of the nerve to the chain of the images of its morphisms.
+    """
     cat = model.category
+    chains = model.complex.meta["chains"]
     cell_index = {c: i for i, c in enumerate(model.cells)}
-    mor_index = {m: i for i, m in enumerate(cat.morphisms)}
+    # level 0 holds objects and level 1 single morphisms in index order, so
+    # only the longer chains need a position table
+    positions = [{ch: i for i, ch in enumerate(level)} for level in chains[2:]]
     out = []
     for sigma in sorted(permutations(range(model.k))):
         if sigma == tuple(range(model.k)):
             continue
         obj_map = [cell_index[cl.act_on_cell(sigma, c)] for c in model.cells]
-        mor_map = []
-        for s, t, data in cat.morphisms:
-            m = cl.CellMorphism(model.cells[s], model.cells[t], data)
-            im = cl.act_on_morphism(sigma, m)
-            mor_map.append(mor_index[(cell_index[im.source], cell_index[im.target], im.data)])
-        out.append(_chain_maps(model.complex, cat, obj_map, mor_map))
+        mor_map = [
+            cat.morphism_index[(obj_map[s], obj_map[t], cl.relocate(sigma, data))]
+            for s, t, data in cat.morphisms
+        ]
+        maps = [obj_map, mor_map][: len(chains)]
+        for level, position in zip(chains[2:], positions):
+            maps.append([position[tuple(mor_map[m] for m in ch)] for ch in level])
+        out.append(maps)
     return out
 
 
-def _chain_maps(s: SemiSimplicialSet, cat: AcyclicCategory, obj_map, mor_map) -> list:
-    """Extend object- and morphism-level maps to all chain levels."""
-    maps = [obj_map]
-    if s.dimensions > 1:
-        # chains at level n are tuples of morphism indices; rebuild them the
-        # same way build_nerve does, tracking indices by label order
-        level = [(m,) for m in range(len(cat.morphisms))]
-        index = {ch: i for i, ch in enumerate(level)}
-        maps.append([index[tuple(mor_map[m] for m in ch)] for ch in level])
-        n = 2
-        while n < s.dimensions:
-            nxt = []
-            for ch in level:
-                top = cat.morphisms[ch[-1]][1]
-                for m in cat.out_of[top]:
-                    nxt.append(ch + (m,))
-            nxt.sort()
-            index = {ch: i for i, ch in enumerate(nxt)}
-            maps.append([index[tuple(mor_map[m] for m in ch)] for ch in nxt])
-            level = nxt
-            n += 1
-    return maps
+def unordered_complex(model: Model) -> SemiSimplicialSet:
+    """The nerve divided by the free action of the symmetric group."""
+    return quotient_by_free_action(model.complex, symmetric_action(model))
 
 
 def model_complex(
@@ -112,7 +94,7 @@ def model_complex(
     model = build_model(g, k)
     s = model.complex
     if quotient:
-        s = quotient_by_free_action(s, symmetric_action(model))
+        s = unordered_complex(model)
     if collapse:
         s = collapse_free_faces(s)
     return s

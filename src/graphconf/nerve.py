@@ -23,6 +23,7 @@ class AcyclicCategory:
     ``rank``: one integer per object, strictly increasing along morphisms.
     ``morphisms``: (src_index, tgt_index, key) triples, nonidentity only.
     ``compose_keys(mkey2, mkey1)``: key of the composite of stored morphisms.
+    ``morphism_index[(src_index, tgt_index, key)]``: position in ``morphisms``.
     """
 
     def __init__(self, objects, rank, morphisms, compose_keys, key_label=str):
@@ -31,13 +32,13 @@ class AcyclicCategory:
         self.morphisms = sorted(morphisms, key=lambda m: (m[0], m[1], m[2]))
         self._compose_keys = compose_keys
         self._key_label = key_label
-        self._index = {}
+        self.morphism_index = {}
         for i, (s, t, key) in enumerate(self.morphisms):
             if s == t:
                 raise InvalidCategory("nonidentity morphism with equal endpoints")
             if self.rank[s] >= self.rank[t]:
                 raise InvalidCategory("rank does not increase along a morphism")
-            self._index[(s, t, key)] = i
+            self.morphism_index[(s, t, key)] = i
         self.out_of = [[] for _ in self.objects]
         for i, (s, _, _) in enumerate(self.morphisms):
             self.out_of[s].append(i)
@@ -53,7 +54,7 @@ class AcyclicCategory:
         if t1 != s2:
             raise NonComposable("morphisms are not composable")
         key = self._compose_keys(k2, k1)
-        idx = self._index.get((s1, t2, key))
+        idx = self.morphism_index.get((s1, t2, key))
         if idx is None:
             raise InvalidCategory(
                 "composite of two stored morphisms is not a stored morphism"
