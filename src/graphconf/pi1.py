@@ -11,6 +11,7 @@ cross-checked against first homology.
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import Disconnected, NotOneDimensional
 from .homology import smith_normal_form
@@ -105,53 +106,84 @@ def _free_reduce(word: list) -> list:
         else:
             out.append((g, e))
     # cyclic reduction: relators are defined up to conjugation
-    while len(out) > 1 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
-        out = out[1:-1]
-    return out
+    i, j = 0, len(out) - 1
+    while i < j and out[i][0] == out[j][0] and out[i][1] == -out[j][1]:
+        i += 1
+        j -= 1
+    return out[i:j + 1] if i else out
+
+
+def _first_single(word: list) -> int | None:
+    """Position of the first generator occurring exactly once, or None."""
+    counts: dict = {}
+    for g, _ in word:
+        counts[g] = counts.get(g, 0) + 1
+    for pos, (g, _) in enumerate(word):
+        if counts[g] == 1:
+            return pos
+    return None
 
 
 def simplify(p: Presentation) -> Presentation:
     """Safe Tietze moves: drop empty relators, free reduction, and eliminate
-    any generator occurring exactly once (exponent +-1) in some relator."""
-    gens = list(p.generators)
-    relators = [_free_reduce(list(w)) for w in p.relators]
-    changed = True
-    while changed:
-        changed = False
-        relators = [w for w in relators if w]
-        for ri, word in enumerate(relators):
-            counts: dict = {}
-            for g, _ in word:
-                counts[g] = counts.get(g, 0) + 1
-            candidate = None
-            for pos, (g, e) in enumerate(word):
-                if counts[g] == 1:
-                    candidate = (pos, g, e)
-                    break
-            if candidate is None:
-                continue
-            pos, g, e = candidate
-            # word = u g^e v  =>  g^e = u^-1 v^-1, substitute everywhere
-            u, v = word[:pos], word[pos + 1:]
-            repl = [(h, -x) for h, x in reversed(u)] + [(h, -x) for h, x in reversed(v)]
-            if e == -1:
-                repl = [(h, -x) for h, x in reversed(repl)]
-            new_relators = []
-            for rj, other in enumerate(relators):
-                if rj == ri:
-                    continue
-                expanded = []
-                for h, x in other:
-                    if h == g:
-                        expanded.extend(repl if x == 1 else [(a, -b) for a, b in reversed(repl)])
-                    else:
-                        expanded.append((h, x))
-                new_relators.append(_free_reduce(expanded))
-            gens = [h for h in gens if h != g]
-            relators = new_relators
-            changed = True
-            break
-    return Presentation(gens, relators)
+    any generator occurring exactly once (exponent +-1) in some relator.
+
+    The output depends on the elimination order, which is: take the first
+    relator, in input order, that has a generator occurring exactly once;
+    eliminate its first such generator g (the relator u g^e v gives
+    g^e = u^-1 v^-1, substituted into every other relator, and is dropped);
+    repeat until no relator has one.  Only the relators holding g change, so
+    an occurrence index (generator -> relator ids) finds them and a min-heap
+    of the ids of relators with a candidate stands in for a rescan from the
+    first relator.  The cost is the total length of the input and of every
+    rewritten relator, times a log factor for the heap.
+    """
+    words = [_free_reduce(list(w)) for w in p.relators]
+    occ: dict = {}
+    for i, word in enumerate(words):
+        for g, _ in word:
+            occ.setdefault(g, set()).add(i)
+    # ascending ids, so already a heap
+    heap = [i for i, word in enumerate(words) if _first_single(word) is not None]
+    eliminated = set()
+    while heap:
+        ri = heappop(heap)
+        word = words[ri]
+        # lazy deletion: the entry may be a dropped relator or one that has
+        # lost its candidate since it was pushed
+        pos = None if word is None else _first_single(word)
+        if pos is None:
+            continue
+        g, e = word[pos]
+        # word = u g^e v  =>  g^e = u^-1 v^-1, substitute everywhere
+        u, v = word[:pos], word[pos + 1:]
+        repl = [(h, -x) for h, x in reversed(u)] + [(h, -x) for h, x in reversed(v)]
+        if e == -1:
+            repl = [(h, -x) for h, x in reversed(repl)]
+        inverse = [(a, -b) for a, b in reversed(repl)]
+        words[ri] = None
+        for h, _ in word:
+            occ[h].discard(ri)
+        eliminated.add(g)
+        for rj in occ.pop(g):
+            old = words[rj]
+            expanded = []
+            for h, x in old:
+                if h == g:
+                    expanded.extend(repl if x == 1 else inverse)
+                else:
+                    expanded.append((h, x))
+            new = _free_reduce(expanded)
+            words[rj] = new
+            for h, _ in old:
+                if h != g:
+                    occ[h].discard(rj)
+            for h, _ in new:
+                occ.setdefault(h, set()).add(rj)
+            if _first_single(new) is not None:
+                heappush(heap, rj)
+    gens = [h for h in p.generators if h not in eliminated]
+    return Presentation(gens, [w for w in words if w])
 
 
 def abelianization(p: Presentation) -> tuple[int, list]:

@@ -32,7 +32,7 @@ cell; triangles are the length-2 chains):
 from dataclasses import dataclass
 
 from . import cells as cl
-from .errors import Disconnected, HasLeaves, InternalError
+from .errors import Disconnected, EmptyComplex, HasLeaves, InternalError
 from .graphs import EdgeClass, Graph, classify_edge, is_connected, valency
 from .homology import ChainComplex
 from .model import Model, build_model, symmetric_action
@@ -155,6 +155,8 @@ def build_reduced(g: Graph) -> GluedComplex:
         raise Disconnected("the simplified model needs a connected graph")
     model = build_model(g, 2)
     s = model.complex
+    if s.size(0) == 0:
+        raise EmptyComplex("no two-point configuration fits the graph")
     chains = s.meta["chains"]
     cat = model.category
 

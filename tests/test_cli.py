@@ -204,3 +204,12 @@ def test_unused_flags_refused(capsys, tmp_path, command, flags):
     path = write_graph(capsys, tmp_path, "s1_min")
     code, out, err = run(capsys, command, "--graph", path, "-k", "2", *flags)
     assert code == 3 and out == "" and f"{flags[0]} is only used by" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--quotient"]], ids=["plain", "quotient"])
+def test_reduced_empty_configuration_space(capsys, tmp_path, flags):
+    # two points cannot sit on one vertex with no edges: exit 3, no traceback
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    code, out, err = run(capsys, "reduced", "--graph", str(path), "-k", "2", *flags)
+    assert code == 3 and out == "" and err.startswith("error:")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -39,6 +40,19 @@ def test_braidgroup_stdout_pinned(capsys, tmp_path, gen, flags, expected):
     code, out, err = run(capsys, "braidgroup", "--graph", path, "-k", "2", *flags)
     assert code == 0, err
     assert out == expected
+
+
+# sha256 of `braidgroup` stdout on `gen xb -x 2 -k 1 -l 1 -p 1 -q 1`, k=3,
+# recorded from the rescan-from-the-first-relator Tietze simplification;
+# this job has the longest elimination sequence of the benchmark corpus.
+BRAIDGROUP_XB_3_SHA256 = "21ea4ac6f207298ff792f351da73597a2a801c9a8414c6030a126b908de07fe8"
+
+
+def test_braidgroup_xb_3_stdout_pinned(capsys, tmp_path):
+    path = write_graph(capsys, tmp_path, "xb", "-x", "2", "-k", "1", "-l", "1", "-p", "1", "-q", "1")
+    code, out, err = run(capsys, "braidgroup", "--graph", path, "-k", "3")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == BRAIDGROUP_XB_3_SHA256
 
 
 def test_braidgroup_builds_one_model(capsys, tmp_path, monkeypatch):

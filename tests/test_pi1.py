@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphconf import graphs as gr
 from graphconf import pi1
 from graphconf.errors import Disconnected, NotOneDimensional
 from graphconf.homology import chain_complex, homology
-from graphconf.model import build_model, model_complex, symmetric_action
+from graphconf.model import build_model, model_complex, symmetric_action, unordered_complex
 from graphconf.nerve import quotient_by_free_action
 from graphconf.pi1 import Presentation
 from graphconf.reduced import build_reduced
@@ -130,3 +131,113 @@ def test_presentation_of_reduced_complex():
     p = pi1.presentation(gc)
     rank, torsion = pi1.abelianization(p)
     assert (rank, torsion) == (5, [])
+
+
+def _reference_free_reduce(word):
+    out = []
+    for g, e in word:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    while len(out) > 1 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
+        out = out[1:-1]
+    return out
+
+
+def _reference_simplify(p):
+    """The rescan-from-the-first-relator algorithm that defines the order of
+    eliminations: rewrite every relator after each one, then start over."""
+    gens = list(p.generators)
+    relators = [_reference_free_reduce(list(w)) for w in p.relators]
+    changed = True
+    while changed:
+        changed = False
+        relators = [w for w in relators if w]
+        for ri, word in enumerate(relators):
+            counts = {}
+            for g, _ in word:
+                counts[g] = counts.get(g, 0) + 1
+            candidate = None
+            for pos, (g, e) in enumerate(word):
+                if counts[g] == 1:
+                    candidate = (pos, g, e)
+                    break
+            if candidate is None:
+                continue
+            pos, g, e = candidate
+            u, v = word[:pos], word[pos + 1:]
+            repl = [(h, -x) for h, x in reversed(u)] + [(h, -x) for h, x in reversed(v)]
+            if e == -1:
+                repl = [(h, -x) for h, x in reversed(repl)]
+            new_relators = []
+            for rj, other in enumerate(relators):
+                if rj == ri:
+                    continue
+                expanded = []
+                for h, x in other:
+                    if h == g:
+                        expanded.extend(repl if x == 1 else [(a, -b) for a, b in reversed(repl)])
+                    else:
+                        expanded.append((h, x))
+                new_relators.append(_reference_free_reduce(expanded))
+            gens = [h for h in gens if h != g]
+            relators = new_relators
+            changed = True
+            break
+    return Presentation(gens, relators)
+
+
+GENERATOR_POOL = ["a", "b", "c", "d", "e", "f"]
+WORDS = st.lists(
+    st.tuples(st.sampled_from(GENERATOR_POOL[:4]), st.sampled_from([1, -1])), max_size=9
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WORDS, max_size=7))
+def test_simplify_equals_reference(relators):
+    # "e" and "f" never occur in a relator; empty words and repeats do
+    p = Presentation(list(GENERATOR_POOL), relators)
+    assert pi1.simplify(p) == _reference_simplify(p)
+    assert pi1.abelianization(pi1.simplify(p)) == pi1.abelianization(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS)
+def test_free_reduce_equals_reference(word):
+    assert pi1._free_reduce(word) == _reference_free_reduce(word)
+
+
+def _k33():
+    verts = [f"a{i}" for i in (1, 2, 3)] + [f"b{j}" for j in (1, 2, 3)]
+    edges = [(f"e{i}{j}", f"a{i}", f"b{j}") for i in (1, 2, 3) for j in (1, 2, 3)]
+    return gr.build_graph(verts, edges)
+
+
+@pytest.mark.parametrize("graph, k", [(gr.theta_graph(), 3), (_k33(), 2)], ids=["theta-3", "k33-2"])
+def test_simplify_equals_reference_on_models(graph, k):
+    m = build_model(graph, k)
+    for s in (m.complex, unordered_complex(m)):
+        p = pi1.presentation(s)
+        simplified = pi1.simplify(p)
+        assert simplified == _reference_simplify(p)
+        assert pi1.abelianization(simplified) == pi1.abelianization(p)
+
+
+def test_simplify_rewrites_only_relators_holding_the_generator(monkeypatch):
+    # `gen xb -x 2 -k 1 -l 1 -p 1 -q 1`, k=3, ordered: 1,800 relators; the
+    # rescan-everything algorithm makes 1,618,755 calls to _free_reduce here,
+    # rewriting only the relators that hold each eliminated generator 9,557
+    p = pi1.presentation(build_model(gr.double_hub_graph(2, 1, 1, 1, 1), 3).complex)
+    assert len(p.relators) == 1800
+    calls = []
+    real = pi1._free_reduce
+
+    def counted(word):
+        calls.append(1)
+        return real(word)
+
+    monkeypatch.setattr(pi1, "_free_reduce", counted)
+    pi1.simplify(p)
+    assert len(calls) <= 6 * len(p.relators)
