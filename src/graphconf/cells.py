@@ -303,6 +303,24 @@ def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
     return _make_cell(c.graph, entries, parts)
 
 
+def canonical_permutation(c: BraidCell) -> tuple[int, ...]:
+    """The permutation sigma for which act_on_cell(sigma, c) is the least
+    cell of the configuration cell c's orbit under coordinate permutations.
+
+    The least cell lists its entries in ascending order, and the
+    coordinates sharing an edge take the positions of their entry in the
+    order they run along the edge, since that makes every edge's block
+    order ascending.  So coordinate j goes to its rank under (entry key,
+    position along the edge).
+    """
+    along = {blk[0]: pos for _, part in c.blocks for pos, blk in enumerate(part)}
+    order = sorted(range(c.k), key=lambda j: (_entry_key(c.entries[j]), along.get(j, 0)))
+    sigma = [0] * c.k
+    for rank, j in enumerate(order):
+        sigma[j] = rank
+    return tuple(sigma)
+
+
 def act_on_morphism(sigma: tuple[int, ...], m: CellMorphism) -> CellMorphism:
     if len(sigma) != m.target.k:
         raise WrongDegree("permutation degree differs from k")

@@ -67,7 +67,17 @@ class AcyclicCategory:
 
     def morphism_label(self, i: int) -> str:
         s, t, key = self.morphisms[i]
-        return f"{self.object_label(s)}>{self._key_label(key)}>{self.object_label(t)}"
+        return arrow_label(self.object_label(s), self._key_label(key), self.object_label(t))
+
+
+def arrow_label(source: str, key: str, target: str) -> str:
+    """Label of a 1-chain from the labels of its ends and its key."""
+    return f"{source}>{key}>{target}"
+
+
+def chain_label(objects) -> str:
+    """Label of a longer chain from the labels of its objects, bottom first."""
+    return "|".join(objects)
 
 
 @dataclass
@@ -163,7 +173,7 @@ def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:
 
 def _chain_label(cat: AcyclicCategory, ch: tuple) -> str:
     objs = [cat.morphisms[ch[0]][0]] + [cat.morphisms[m][1] for m in ch]
-    return "|".join(cat.object_label(o) for o in objs)
+    return chain_label(cat.object_label(o) for o in objs)
 
 
 def dimension(s: SemiSimplicialSet) -> int:
@@ -181,7 +191,13 @@ def quotient_by_free_action(s: SemiSimplicialSet, action) -> SemiSimplicialSet:
     is verified on 0-chains (the action on objects); because ranks along a
     chain are strictly increasing, that implies freeness on all chains.
     Orbit representatives are the lexicographically minimal members.
+
+    ``reduced --quotient`` divides the two-point model by it, and the tests
+    use it as the reference for ``model.orbit_nerve``, which builds the
+    unordered model without the ordered nerve.
     """
+    if not s.labels:
+        return SemiSimplicialSet([], [])
     for g in action:
         if len(g) < len(s.labels):
             raise ValueError("automorphism does not cover all dimensions")

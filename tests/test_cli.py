@@ -213,3 +213,23 @@ def test_reduced_empty_configuration_space(capsys, tmp_path, flags):
     path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
     code, out, err = run(capsys, "reduced", "--graph", str(path), "-k", "2", *flags)
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+EMPTY_MODEL_REPORT = '{"betti":[],"components":0,"dimension":null,"euler":0,"fvector":[],"torsion":[]}\n'
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [({"vertices": ["a"], "edges": []}, 2), ({"vertices": ["a", "b"], "edges": []}, 3)],
+    ids=["one-vertex-2", "two-vertices-3"],
+)
+@pytest.mark.parametrize(
+    "flags", [[], ["--quotient"], ["--quotient", "--collapse"]], ids=["plain", "quotient", "collapse"]
+)
+def test_model_empty_configuration_space(capsys, tmp_path, graph, k, flags):
+    # no configuration fits: every form of the model is the empty complex
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "model", "--graph", str(path), "-k", str(k), *flags)
+    assert code == 0, err
+    assert out == EMPTY_MODEL_REPORT

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from graphconf import cli, model
+from graphconf import cells, cli, model, nerve, reduced
 from test_cli import run, write_graph
 
 # Recorded from the two-build implementation; a single build must print
@@ -81,3 +81,51 @@ def test_compare_match_requires_conditions(capsys, tmp_path):
     assert report["model"]["betti"] == report["abrams"]["betti"] == [1, 5, 0]
     assert report["conditions"]["ok"] is False
     assert report["match"] is False
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, also through every graphconf module
+    that imported it by name."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (cells, cli, model, nerve, reduced):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags", [(), ("--collapse",)], ids=["quotient", "collapse"])
+def test_model_quotient_builds_no_ordered_model(capsys, tmp_path, monkeypatch, flags):
+    path = write_graph(capsys, tmp_path, "theta")
+    counts = [
+        count_calls(monkeypatch, model, "build_model"),
+        count_calls(monkeypatch, model, "symmetric_action"),
+        count_calls(monkeypatch, nerve, "quotient_by_free_action"),
+    ]
+    code, _, err = run(capsys, "model", "--graph", path, "-k", "3", "--quotient", *flags)
+    assert code == 0, err
+    assert counts == [[], [], []]
+
+
+def test_braidgroup_enumerates_cells_once(capsys, tmp_path, monkeypatch):
+    path = write_graph(capsys, tmp_path, "theta")
+    calls = count_calls(monkeypatch, cells, "enumerate_braid_cells")
+    code, _, err = run(capsys, "braidgroup", "--graph", path, "-k", "2")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_model_quotient_acts_on_each_cell_about_once(capsys, tmp_path, monkeypatch):
+    # theta k=4 has 984 configuration cells; acting with all 23 nonidentity
+    # permutations on each of them made 22,632 calls
+    path = write_graph(capsys, tmp_path, "theta")
+    calls = count_calls(monkeypatch, cells, "act_on_cell")
+    code, out, err = run(capsys, "model", "--graph", path, "-k", "4", "--quotient")
+    assert code == 0, err
+    assert json.loads(out)["fvector"] == [41, 150, 108]
+    assert len(calls) <= 2 * 984
