@@ -4,16 +4,7 @@ homology, fundamental-group presentations, and an independent discretized
 model for cross-validation."""
 
 from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_complex
-from .cells import (
-    BraidCell,
-    CellMorphism,
-    act,
-    compose,
-    configuration_cells,
-    enumerate_braid_cells,
-    enumerate_morphisms,
-    in_discriminant,
-)
+from .cells import BraidCell, configuration_cells, enumerate_braid_cells, in_discriminant
 from .graphs import (
     Graph,
     build_graph,
@@ -23,7 +14,7 @@ from .graphs import (
     subdivide,
     valency,
 )
-from .homology import ChainComplex, chain_complex, euler_characteristic, smith_normal_form
+from .homology import ChainComplex, chain_complex, smith_normal_form
 from .model import build_model, face_category, model_complex
 from .nerve import SemiSimplicialSet, build_nerve, collapse_free_faces, dimension, quotient_by_free_action
 from .pi1 import Presentation, abelianization, free_rank, presentation, simplify, spanning_tree
@@ -31,7 +22,6 @@ from .reduced import GluedComplex, build_reduced, classify_2cells, glued_chain_c
 
 __all__ = [
     "BraidCell",
-    "CellMorphism",
     "ChainComplex",
     "GluedComplex",
     "Graph",
@@ -39,7 +29,6 @@ __all__ = [
     "SemiSimplicialSet",
     "abelianization",
     "abrams_complex",
-    "act",
     "build_graph",
     "build_model",
     "build_nerve",
@@ -49,14 +38,11 @@ __all__ = [
     "classify_2cells",
     "classify_edge",
     "collapse_free_faces",
-    "compose",
     "configuration_cells",
     "cubical_chain_complex",
     "dimension",
     "enumerate_braid_cells",
-    "enumerate_morphisms",
     "essential_vertices",
-    "euler_characteristic",
     "face_category",
     "free_rank",
     "glued_chain_complex",

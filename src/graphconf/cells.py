@@ -4,8 +4,9 @@ A braid cell assigns each of the k coordinates to a vertex or an edge and,
 for every edge used m times, records an ordered partition of those m
 coordinates (the braid-arrangement stratum of the repeated factor).  Cells
 disjoint from the discriminant (all blocks singletons, all vertex entries
-distinct) are the configuration cells; morphisms between configuration
-cells are stored in a canonical per-coordinate form:
+distinct) are the configuration cells.  A face-category morphism between
+configuration cells is a (source, target, datum) triple, where the datum
+holds one entry per coordinate:
 
     Interior     the coordinate keeps its entry,
     End(eps)     the coordinate was on an edge in the target and sits at
@@ -16,13 +17,15 @@ of a characteristic map is determined by which boundary stratum each
 coordinate hits, so this datum is a faithful encoding of the face-category
 morphisms.  The closure order on an edge's coordinates forces extremality:
 only the first coordinate of the target's order may hit the minus end and
-only the last may hit the plus end.
+only the last may hit the plus end.  ``morphisms_into`` lists the
+morphisms into a cell, ``compose_data`` composes data, and
+``act_on_cell`` with ``relocate`` on data is the S_k action.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import MismatchedGraph, MismatchedK, NonComposable, WrongDegree
+from .errors import WrongDegree
 from .graphs import Graph
 
 # Per-coordinate morphism data.
@@ -102,21 +105,6 @@ class BraidCell:
         return "(" + ",".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class CellMorphism:
-    """Face-category morphism between configuration cells, canonical form."""
-
-    source: BraidCell
-    target: BraidCell
-    data: tuple  # length k of INTERIOR / END_MINUS / END_PLUS
-
-    def is_identity(self) -> bool:
-        return all(d == INTERIOR for d in self.data) and self.source == self.target
-
-    def label(self) -> str:
-        return f"{self.source.label()}>{data_label(self.data)}>{self.target.label()}"
-
-
 def ordered_partitions(items: tuple):
     """All ordered partitions of items into disjoint nonempty blocks."""
     items = tuple(items)
@@ -181,53 +169,9 @@ def configuration_cells(g: Graph, k: int) -> list[BraidCell]:
     return [c for c in enumerate_braid_cells(g, k) if not in_discriminant(c)]
 
 
-def braid_cell_faces(c: BraidCell) -> list[BraidCell]:
-    """One-step faces: merge two adjacent blocks of an edge group, or send
-    its first (last) block to the edge's minus (plus) end when attached."""
-    g = c.graph
-    out = []
-    for eid, part in c.blocks:
-        edge = g.edge(eid)
-        others = {e: p for e, p in c.blocks if e != eid}
-        for i in range(len(part) - 1):
-            merged = part[:i] + (tuple(sorted(part[i] + part[i + 1])),) + part[i + 2:]
-            out.append(_make_cell(g, c.entries, {**others, eid: merged}))
-        for which, end in ((0, edge.end_minus), (-1, edge.end_plus)):
-            if end is None:
-                continue
-            block = part[which]
-            entries = list(c.entries)
-            for j in block:
-                entries[j] = ("v", end)
-            rest = part[1:] if which == 0 else part[:-1]
-            new_parts = dict(others)
-            if rest:
-                new_parts[eid] = rest
-            out.append(_make_cell(g, entries, new_parts))
-    return out
-
-
-def braid_cell_closure(c: BraidCell) -> set[BraidCell]:
-    """All iterated faces of c, including c itself."""
-    seen = {c}
-    stack = [c]
-    while stack:
-        for f in braid_cell_faces(stack.pop()):
-            if f not in seen:
-                seen.add(f)
-                stack.append(f)
-    return seen
-
-
-def _check_same_setting(c: BraidCell, d: BraidCell) -> None:
-    if c.graph != d.graph:
-        raise MismatchedGraph("cells live on different graphs")
-    if c.k != d.k:
-        raise MismatchedK("cells have different numbers of points")
-
-
-def morphisms_into(d: BraidCell) -> list[CellMorphism]:
-    """All nonidentity face-category morphisms with target d.
+def morphisms_into(d: BraidCell) -> list[tuple]:
+    """All nonidentity face-category morphisms with target d, as
+    (source cell, datum) pairs sorted by (source sort key, datum).
 
     Enumerates the admissible per-coordinate data directly: for each edge
     group of the target, the first coordinate of the order may drop to the
@@ -271,24 +215,9 @@ def morphisms_into(d: BraidCell) -> list[CellMorphism]:
                 parts[eid] = kept
         source = _make_cell(g, entries, parts)
         data = tuple(assignment.get(i, INTERIOR) for i in range(d.k))
-        out.append(CellMorphism(source, d, data))
-    out.sort(key=lambda m: (m.source.sort_key(), m.data))
+        out.append((source, data))
+    out.sort(key=lambda m: (m[0].sort_key(), m[1]))
     return out
-
-
-def enumerate_morphisms(c: BraidCell, d: BraidCell) -> list[CellMorphism]:
-    """All morphisms c -> d; the singleton identity when c = d."""
-    _check_same_setting(c, d)
-    if c == d:
-        return [CellMorphism(c, d, (INTERIOR,) * c.k)]
-    return [m for m in morphisms_into(d) if m.source == c]
-
-
-def compose(m2: CellMorphism, m1: CellMorphism) -> CellMorphism:
-    """Composite of m1: c -> d with m2: d -> f; its datum is compose_data."""
-    if m1.target != m2.source:
-        raise NonComposable("target of first morphism differs from source of second")
-    return CellMorphism(m1.source, m2.target, compose_data(m2.data, m1.data))
 
 
 def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
@@ -319,19 +248,3 @@ def canonical_permutation(c: BraidCell) -> tuple[int, ...]:
     for rank, j in enumerate(order):
         sigma[j] = rank
     return tuple(sigma)
-
-
-def act_on_morphism(sigma: tuple[int, ...], m: CellMorphism) -> CellMorphism:
-    if len(sigma) != m.target.k:
-        raise WrongDegree("permutation degree differs from k")
-    return CellMorphism(
-        act_on_cell(sigma, m.source), act_on_cell(sigma, m.target), relocate(sigma, m.data)
-    )
-
-
-def act(sigma: tuple[int, ...], x):
-    if isinstance(x, BraidCell):
-        return act_on_cell(sigma, x)
-    if isinstance(x, CellMorphism):
-        return act_on_morphism(sigma, x)
-    raise TypeError(f"cannot act on {type(x).__name__}")

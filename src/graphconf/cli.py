@@ -15,7 +15,7 @@ from . import pi1
 from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_complex
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import build_model, model_complex, unordered_complex
+from .model import build_model, model_complex, orbit_nerve
 from .nerve import EmptyComplex, SemiSimplicialSet, dimension, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
@@ -157,7 +157,7 @@ def cmd_braidgroup(args) -> dict:
     model = build_model(g, args.k)
     return {
         "ordered": _group_report(model.complex),
-        "unordered": _group_report(unordered_complex(model)),
+        "unordered": _group_report(orbit_nerve(model.cells)),
     }
 
 
@@ -234,6 +234,10 @@ def main(argv=None) -> int:
     try:
         _refuse_unused_flags(args)
         report = handlers[args.command](args)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,11 +247,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     return 0
 

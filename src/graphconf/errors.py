@@ -33,14 +33,6 @@ class OpenEdge(InputError):
     pass
 
 
-class MismatchedGraph(InputError):
-    pass
-
-
-class MismatchedK(InputError):
-    pass
-
-
 class NonComposable(InputError):
     pass
 

@@ -36,9 +36,6 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
             if e.id == edge_id:
@@ -47,9 +44,6 @@ class Graph:
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
 
     def is_closed(self) -> bool:
         """True when every edge end is attached to a vertex."""
@@ -129,44 +123,6 @@ def remove_leaves(g: Graph) -> Graph:
         new_edges.append(Edge(e.id, lo, hi))
     keep = tuple(v for v in g.vertices if v not in leaves)
     return Graph(keep, tuple(new_edges))
-
-
-def reduce(g: Graph) -> Graph:
-    """Merge away valency-2 vertices not contained in loops.
-
-    Each merge replaces the vertex's two distinct incident edges by one edge
-    whose id concatenates the two ids, smaller first.  Vertices are processed
-    in ascending id order until the graph is reduced; the homeomorphism type
-    is preserved.
-    """
-    verts = list(g.vertices)
-    edges = {e.id: e for e in g.edges}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(verts):
-            incident = []
-            for e in edges.values():
-                if e.end_minus == v:
-                    incident.append((e.id, "-"))
-                if e.end_plus == v:
-                    incident.append((e.id, "+"))
-            if len(incident) != 2:
-                continue
-            (id_a, side_a), (id_b, side_b) = incident
-            if id_a == id_b:
-                continue  # a loop at v; v stays
-            if id_b < id_a:
-                (id_a, side_a), (id_b, side_b) = (id_b, side_b), (id_a, side_a)
-            ea, eb = edges.pop(id_a), edges.pop(id_b)
-            far_a = ea.end_plus if side_a == "-" else ea.end_minus
-            far_b = eb.end_plus if side_b == "-" else eb.end_minus
-            edges[id_a + "+" + id_b] = Edge(id_a + "+" + id_b, far_a, far_b)
-            verts.remove(v)
-            changed = True
-            break
-    order = sorted(edges)
-    return Graph(tuple(sorted(verts)), tuple(edges[i] for i in order))
 
 
 def subdivide(g: Graph, n: int) -> Graph:
@@ -270,21 +226,23 @@ def graph_from_json(data) -> Graph:
         raise ValueError("graph JSON must be an object")
     try:
         verts = data["vertices"]
-        specs = [(e["id"], e["ends"][0], e["ends"][1]) for e in data["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        specs = [(e["id"], e["ends"]) for e in data["edges"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(verts, list):
         raise ValueError("graph JSON \"vertices\" must be a list")
     for v in verts:
         if not isinstance(v, str):
             raise ValueError(f"vertex id {v!r} is not a string")
-    for eid, lo, hi in specs:
+    for eid, ends in specs:
         if not isinstance(eid, str):
             raise ValueError(f"edge id {eid!r} is not a string")
-        for end in (lo, hi):
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise ValueError(f"edge {eid!r} must have a list of exactly two ends, not {ends!r}")
+        for end in ends:
             if end is not None and not isinstance(end, str):
                 raise ValueError(f"edge {eid!r} has an end {end!r} that is neither a string nor null")
-    return build_graph(verts, specs)
+    return build_graph(verts, [(eid, lo, hi) for eid, (lo, hi) in specs])
 
 
 def load_graph(path: str) -> Graph:

@@ -13,7 +13,7 @@ boundary matrix.  Invariant factors are unique, so neither choice can
 change a result.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -31,7 +31,6 @@ class ChainComplex:
 
     sizes: list
     boundaries: list
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.boundaries) != max(len(self.sizes) - 1, 0):
@@ -39,10 +38,6 @@ class ChainComplex:
         for n in range(len(self.boundaries) - 1):
             if not _product_is_zero(self.boundaries[n], self.boundaries[n + 1]):
                 raise NotAComplex(f"boundary squared is nonzero between dims {n + 2} and {n}")
-
-    @property
-    def top_dimension(self) -> int:
-        return len(self.sizes) - 1
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * c for n, c in enumerate(self.sizes))
@@ -52,9 +47,6 @@ class ChainComplex:
 class HomologyResult:
     betti: list
     torsion: list  # per dimension, invariant factors > 1 (each divides the next)
-
-    def __iter__(self):
-        return iter(zip(self.betti, self.torsion))
 
 
 def _product_is_zero(a: dict, b: dict) -> bool:
@@ -266,11 +258,6 @@ def homology(cc: ChainComplex) -> HomologyResult:
     if any(b < 0 for b in betti):
         raise NotAComplex("negative betti number; boundaries are inconsistent")
     return HomologyResult(betti, [torsion_of_next[n] for n in range(dims)])
-
-
-def euler_characteristic(obj) -> int:
-    """Alternating sum of basis sizes of a complex or chain counts of a nerve."""
-    return obj.euler_characteristic()
 
 
 def connected_components(s: SemiSimplicialSet) -> list:

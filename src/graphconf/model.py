@@ -36,8 +36,8 @@ def face_category(objs: list) -> AcyclicCategory:
     index = {c: i for i, c in enumerate(objs)}
     morphisms = []
     for tgt, d in enumerate(objs):
-        for m in cl.morphisms_into(d):
-            morphisms.append((index[m.source], tgt, m.data))
+        for source, data in cl.morphisms_into(d):
+            morphisms.append((index[source], tgt, data))
     return AcyclicCategory(
         [c.label() for c in objs],
         [c.dimension for c in objs],
@@ -128,20 +128,20 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
         lift.append(_inverse(sigma))
         members[r, lift[i]] = i
 
-    def act(tau, i):
+    def image(tau, i):
         """Index of tau . cell i."""
         return members[canon[i], tuple(tau[j] for j in lift[i])]
 
     def move(tau, m):
         s, t, data = m
-        return (act(tau, s), act(tau, t), cl.relocate(tau, data))
+        return (image(tau, s), image(tau, t), cl.relocate(tau, data))
 
     reps = [i for i, r in enumerate(canon) if i == r]
     out_of = {r: [] for r in reps}  # one morphism per orbit, from its canonical source
     for d in reps:
-        for m in cl.morphisms_into(objs[d]):
-            s = index[m.source]
-            out_of[canon[s]].append(move(to_canon[s], (s, d, m.data)))
+        for source, data in cl.morphisms_into(objs[d]):
+            s = index[source]
+            out_of[canon[s]].append(move(to_canon[s], (s, d, data)))
 
     cell_labels = [c.label() for c in objs]
     position = {r: p for p, r in enumerate(reps)}
@@ -178,11 +178,6 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
         faces.append(new_faces)
         level = nxt
     return SemiSimplicialSet(labels, faces)
-
-
-def unordered_complex(model: Model) -> SemiSimplicialSet:
-    """The unordered model of an ordered one, from its configuration cells."""
-    return orbit_nerve(model.cells)
 
 
 def model_complex(

@@ -179,13 +179,36 @@ def test_stdout_carries_json_only(capsys, tmp_path):
         {"vertices": "ab", "edges": []},
         {"vertices": ["a"], "edges": [{"id": 7, "ends": ["a", "a"]}]},
         {"vertices": ["a"], "edges": [{"id": "e", "ends": ["a", ["a"]]}]},
+        {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b", "a"]}]},
+        {"vertices": ["a"], "edges": [{"id": "e", "ends": ["a"]}]},
+        {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": "ab"}]},
     ],
-    ids=["int-vertex-id", "string-vertices", "int-edge-id", "list-edge-end"],
+    ids=[
+        "int-vertex-id",
+        "string-vertices",
+        "int-edge-id",
+        "list-edge-end",
+        "three-edge-ends",
+        "one-edge-end",
+        "string-edge-ends",
+    ],
 )
 def test_exit_code_ids_not_strings(capsys, tmp_path, graph):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(graph))
     code, out, err = run(capsys, "model", "--graph", str(bad), "-k", "2")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["gen", "model"])
+def test_unwritable_out_path(capsys, tmp_path, command):
+    # the report is computed, then writing it fails: exit 2, no traceback
+    target = str(tmp_path / "missing-dir" / "out.json")
+    if command == "gen":
+        argv = ["gen", "theta"]
+    else:
+        argv = ["model", "--graph", write_graph(capsys, tmp_path, "theta"), "-k", "2"]
+    code, out, err = run(capsys, *argv, "--out", target)
     assert code == 2 and out == "" and err.startswith("error:")
 
 

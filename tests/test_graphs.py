@@ -94,30 +94,6 @@ def test_remove_leaves_idempotent():
         assert gr.remove_leaves(once) == once
 
 
-def test_reduce_two_vertex_circle():
-    g = gr.reduce(gr.cycle_graph(2))
-    assert len(g.vertices) == 1
-    (e,) = g.edges
-    assert e.end_minus == e.end_plus
-
-
-def test_reduce_already_reduced():
-    g = gr.minimal_circle()
-    assert gr.reduce(g) == g
-
-
-def test_reduce_path():
-    g = gr.reduce(gr.path_graph(3))
-    assert len(g.edges) == 1
-    assert set(g.vertices) == {"p0", "p3"}
-    assert set(g.edges[0].ends) == {"p0", "p3"}
-
-
-def test_reduce_preserves_first_betti():
-    for g in [gr.cycle_graph(4), gr.subdivide(gr.theta_graph(), 2), gr.path_graph(5)]:
-        assert gr.graph_betti(gr.reduce(g)) == gr.graph_betti(g)
-
-
 def test_subdivide_circle():
     g = gr.cycle_graph(3)
     assert len(g.vertices) == 3 and len(g.edges) == 3

@@ -13,7 +13,6 @@ from graphconf.homology import (
     _dense_smith,
     chain_complex,
     connected_components,
-    euler_characteristic,
     homology,
     smith_normal_form,
 )
@@ -146,11 +145,11 @@ def test_homology_projective_plane_style_torsion():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(model_complex(gr.minimal_circle(), 2)) == 0
+    assert model_complex(gr.minimal_circle(), 2).euler_characteristic() == 0
     g = gr.build_graph(["u"], [])
-    assert euler_characteristic(model_complex(g, 1)) == 1
+    assert model_complex(g, 1).euler_characteristic() == 1
     cc = chain_complex(model_complex(gr.theta_graph(), 2))
-    assert euler_characteristic(cc) == sum((-1) ** n * c for n, c in enumerate(cc.sizes))
+    assert cc.euler_characteristic() == sum((-1) ** n * c for n, c in enumerate(cc.sizes))
 
 
 def test_chi_equals_alternating_betti():

@@ -8,8 +8,9 @@ from graphconf.model import build_model, symmetric_action
 
 
 def reference_symmetric_action(m):
-    """The action computed from scratch: act_on_morphism on every morphism
-    and the nerve chains enumerated again, level by level."""
+    """The action computed from scratch: every morphism moved to the one
+    between the moved cells with the relocated datum, and the nerve chains
+    enumerated again, level by level."""
     cat = m.category
     cell_index = {c: i for i, c in enumerate(m.cells)}
     mor_index = {mor: i for i, mor in enumerate(cat.morphisms)}
@@ -20,8 +21,12 @@ def reference_symmetric_action(m):
         obj_map = [cell_index[cl.act_on_cell(sigma, c)] for c in m.cells]
         mor_map = []
         for s, t, data in cat.morphisms:
-            im = cl.act_on_morphism(sigma, cl.CellMorphism(m.cells[s], m.cells[t], data))
-            mor_map.append(mor_index[(cell_index[im.source], cell_index[im.target], im.data)])
+            image = (
+                cell_index[cl.act_on_cell(sigma, m.cells[s])],
+                cell_index[cl.act_on_cell(sigma, m.cells[t])],
+                cl.relocate(sigma, data),
+            )
+            mor_map.append(mor_index[image])
         maps = [obj_map]
         level = [(i,) for i in range(len(cat.morphisms))]
         while len(maps) < m.complex.dimensions:

@@ -5,7 +5,7 @@ from graphconf import graphs as gr
 from graphconf import pi1
 from graphconf.errors import Disconnected, NotOneDimensional
 from graphconf.homology import chain_complex, homology
-from graphconf.model import build_model, model_complex, symmetric_action, unordered_complex
+from graphconf.model import build_model, model_complex, orbit_nerve, symmetric_action
 from graphconf.nerve import quotient_by_free_action
 from graphconf.pi1 import Presentation
 from graphconf.reduced import build_reduced
@@ -218,7 +218,7 @@ def _k33():
 @pytest.mark.parametrize("graph, k", [(gr.theta_graph(), 3), (_k33(), 2)], ids=["theta-3", "k33-2"])
 def test_simplify_equals_reference_on_models(graph, k):
     m = build_model(graph, k)
-    for s in (m.complex, unordered_complex(m)):
+    for s in (m.complex, orbit_nerve(m.cells)):
         p = pi1.presentation(s)
         simplified = pi1.simplify(p)
         assert simplified == _reference_simplify(p)
