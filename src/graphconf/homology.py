@@ -11,6 +11,13 @@ the core's factors need the divisibility normalisation, since a unit
 divides everything; both keep the work near-linear in the nonzeros of a
 boundary matrix.  Invariant factors are unique, so neither choice can
 change a result.
+
+``homology`` reduces the boundaries from the top dimension down and clears
+as it goes (the "twist" of Chen-Kerber, "Persistent homology computation
+with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and compress",
+2014): a row the sweep of d_{n+1} pivoted on is a column of d_n that
+cannot add to its image, so that column never reaches the sweep.  The
+argument that this is exact is in ``homology``'s docstring.
 """
 
 from dataclasses import dataclass
@@ -77,12 +84,23 @@ def chain_complex(s: SemiSimplicialSet) -> ChainComplex:
 
 # -- Smith normal form -------------------------------------------------------
 
-def _unit_pivot_sweep(entries: dict) -> tuple[int, dict]:
+def _unit_pivot_sweep(entries: dict) -> tuple[int, dict, list]:
     """Split off as many +-1 pivots as possible.
 
-    Returns (number of unit pivots, remaining core entries).  With a unit
-    pivot the column is cleared by row operations and the row then clears
-    for free, so the matrix decomposes as diag(1) (+) core at each step.
+    Returns (number of unit pivots, remaining core entries, the (row, col)
+    pairs pivoted on, in pivot order).  With a unit pivot the column is
+    cleared by row operations and the row then clears for free, so the
+    matrix decomposes as diag(1) (+) core at each step.
+
+    Only row operations touch the entries: each step subtracts multiples of
+    the pivot row from the other rows, then drops that row.  So a row that
+    is pivoted on later has only gained multiples of earlier pivot rows, and
+    when it is pivoted on it is zero in every earlier pivot column.  Take
+    the pivot rows R and pivot columns C in pivot order.  On the columns C,
+    the pivot rows as they stand at their pivot times are L times the
+    input's R x C submatrix, with L unit lower triangular, and they form an
+    upper triangular matrix with +-1 on its diagonal: that submatrix has
+    determinant +-1.  ``homology`` relies on this to clear columns.
 
     Pivots are taken in Markowitz order: the candidate +-1 entry with the
     smallest (len(row) - 1) * (len(col) - 1), the most fill one
@@ -104,7 +122,7 @@ def _unit_pivot_sweep(entries: dict) -> tuple[int, dict]:
 
     heap = [(cost(r, c), r, c) for (r, c), v in entries.items() if v in (1, -1)]
     heapify(heap)
-    count = 0
+    pivots = []
     while heap:
         key, r, c = heappop(heap)
         row = rows.get(r)
@@ -115,7 +133,7 @@ def _unit_pivot_sweep(entries: dict) -> tuple[int, dict]:
             heappush(heap, (now, r, c))
             continue
         piv = row[c]
-        count += 1
+        pivots.append((r, c))
         row_r = rows.pop(r)
         for cc in row_r:
             cols[cc].discard(r)
@@ -138,7 +156,7 @@ def _unit_pivot_sweep(entries: dict) -> tuple[int, dict]:
             if not target:
                 del rows[rr]
     core = {(r, c): v for r, row in rows.items() for c, v in row.items()}
-    return count, core
+    return len(pivots), core, pivots
 
 
 def _dense_smith(entries: dict) -> list:
@@ -219,11 +237,13 @@ def _dense_smith(entries: dict) -> list:
     return factors
 
 
-def smith_normal_form(matrix) -> tuple[tuple, int]:
+def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
     """Nonzero invariant factors (divisibility chain) and rank of a matrix.
 
     Accepts a dense row-major sequence of sequences or a sparse dict
-    (row, col) -> value.  Arithmetic is exact at arbitrary precision.
+    (row, col) -> value.  Arithmetic is exact at arbitrary precision.  If
+    ``pivots`` is a list, the (row, col) pairs of the unit-pivot sweep are
+    appended to it.
     """
     if isinstance(matrix, dict):
         entries = {k: int(v) for k, v in matrix.items() if v}
@@ -234,7 +254,9 @@ def smith_normal_form(matrix) -> tuple[tuple, int]:
             for j, v in enumerate(row)
             if v
         }
-    units, core = _unit_pivot_sweep(entries)
+    units, core, swept = _unit_pivot_sweep(entries)
+    if pivots is not None:
+        pivots.extend(swept)
     tail = _dense_smith(core)
     # normalize the divisibility chain of the core; units divide everything
     for i in range(len(tail)):
@@ -246,14 +268,40 @@ def smith_normal_form(matrix) -> tuple[tuple, int]:
 
 
 def homology(cc: ChainComplex) -> HomologyResult:
-    """Betti numbers and torsion coefficients per dimension."""
+    """Betti numbers and torsion coefficients per dimension.
+
+    The boundaries are reduced from the top dimension down.  Before d_n
+    (``boundaries[n - 1]``, from C_n to C_{n-1}) goes to
+    ``smith_normal_form``, every column whose index is a row that the
+    unit-pivot sweep of d_{n+1} pivoted on is dropped.  This is exact:
+
+    - The sweep of d_{n+1} pivots on +-1 entries with row operations only,
+      so the input's submatrix on its pivot rows R and pivot columns C has
+      determinant +-1 (see ``_unit_pivot_sweep``).
+    - Hence {d_{n+1} e_c : c in C} together with {e_s : s not in R} is a
+      Z-basis of C_n: in the order R first, its matrix is block triangular
+      with blocks d_{n+1}[R, C] and the identity.
+    - d_n d_{n+1} = 0 sends the first part to 0, so the columns of d_n
+      outside R span the image lattice of d_n: the same rank and the same
+      invariant factors as the full matrix.
+
+    ``ChainComplex`` checks d^2 = 0 on construction, which is what makes
+    this sound.  Only unit pivots clear columns; the dense core's pivots
+    do not.
+    """
     dims = len(cc.sizes)
     ranks = [0] * (dims + 1)
     torsion_of_next = [[] for _ in range(dims + 1)]
-    for n, mat in enumerate(cc.boundaries):
-        factors, rank = smith_normal_form(mat)
+    cleared: set = set()  # rows of the sweep above, as columns of this matrix
+    for n in reversed(range(len(cc.boundaries))):
+        mat = cc.boundaries[n]
+        if cleared:
+            mat = {k: v for k, v in mat.items() if k[1] not in cleared}
+        pivots: list = []
+        factors, rank = smith_normal_form(mat, pivots)
         ranks[n + 1] = rank
         torsion_of_next[n] = [f for f in factors if f > 1]
+        cleared = {r for r, _ in pivots}
     betti = [cc.sizes[n] - ranks[n] - ranks[n + 1] for n in range(dims)]
     if any(b < 0 for b in betti):
         raise NotAComplex("negative betti number; boundaries are inconsistent")

@@ -5,6 +5,7 @@ import pytest
 
 from graphconf import cells, cli, model, nerve, reduced
 from test_cli import run, write_graph
+from test_orbit_nerve import k33
 
 # Recorded from the two-build implementation; a single build must print
 # the same bytes.
@@ -129,3 +130,24 @@ def test_model_quotient_acts_on_each_cell_about_once(capsys, tmp_path, monkeypat
     assert code == 0, err
     assert json.loads(out)["fvector"] == [41, 150, 108]
     assert len(calls) <= 2 * 984
+
+
+# Unordered K3,3 k=3.  The Z/2 in H_1 (K3,3 is non-planar; Ko-Park, DCG 2012)
+# comes from boundaries[1], whose columns the unit pivots of boundaries[2]
+# clear; chi = 5 is Gal's value.
+K33_3_QUOTIENT = (
+    '{"betti":[1,4,8,0],"components":1,"dimension":3,"euler":5,'
+    '"fvector":[590,4095,6750,3240],"torsion":[[],[2],[],[]]}\n'
+)
+
+
+def test_model_quotient_k33_3_pinned(capsys, tmp_path):
+    g = k33()
+    path = tmp_path / "k33.json"
+    path.write_text(json.dumps({
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "ends": [e.end_minus, e.end_plus]} for e in g.edges],
+    }))
+    code, out, err = run(capsys, "model", "--graph", str(path), "-k", "3", "--quotient")
+    assert code == 0, err
+    assert out == K33_3_QUOTIENT

@@ -6,17 +6,22 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphconf.homology as H
 from graphconf import graphs as gr
+from graphconf.abrams import abrams_complex, cubical_chain_complex, quotient
 from graphconf.errors import NotAComplex
 from graphconf.homology import (
     ChainComplex,
+    HomologyResult,
     _dense_smith,
+    _unit_pivot_sweep,
     chain_complex,
     connected_components,
     homology,
     smith_normal_form,
 )
 from graphconf.model import model_complex
+from test_orbit_nerve import k33, small_multigraphs
 
 
 def invariant_factors_by_minors(a):
@@ -228,3 +233,163 @@ def test_snf_sparse_unit_heavy_against_dense_reduction():
         factors, rank = smith_normal_form(a)
         assert list(factors) == _dense_smith(entries)
         assert rank == len(factors)
+
+
+# -- clearing ----------------------------------------------------------------
+
+def reference_homology(cc):
+    """The bottom-up loop without clearing: every boundary matrix in full."""
+    dims = len(cc.sizes)
+    ranks = [0] * (dims + 1)
+    torsion_of_next = [[] for _ in range(dims + 1)]
+    for n, mat in enumerate(cc.boundaries):
+        factors, rank = smith_normal_form(mat)
+        ranks[n + 1] = rank
+        torsion_of_next[n] = [f for f in factors if f > 1]
+    betti = [cc.sizes[n] - ranks[n] - ranks[n + 1] for n in range(dims)]
+    return HomologyResult(betti, [torsion_of_next[n] for n in range(dims)])
+
+
+def assert_matches_reference(cc):
+    assert homology(cc) == reference_homology(cc)
+
+
+TORSION_BLOCKS = [(2,), (3,), (2, 4)]
+
+
+@st.composite
+def hidden_torsion_complexes(draw):
+    """A chain complex of 4-6 levels with known homology.
+
+    In a split basis C_n = free_n (+) (targets of d_{n+1}) (+) (sources of
+    d_n), and d_{n+1} maps its sources onto its targets by diag(1, ..., 1,
+    torsion), with a torsion block in every dimension below the top.  Random
+    unimodular changes of basis of every C_n then hide the splitting: a
+    column operation on d_n and the inverse row operation on d_{n+1}, so d^2
+    stays 0.  Returns (complex, betti, torsion).
+    """
+    levels = draw(st.integers(4, 6))
+    diags = [
+        [1] * draw(st.integers(0, 4)) + list(draw(st.sampled_from(TORSION_BLOCKS)))
+        for _ in range(levels - 1)
+    ]
+    free = [draw(st.integers(0, 2)) for _ in range(levels)]
+    targets = [len(d) for d in diags] + [0]
+    sources = [0] + [len(d) for d in diags]
+    sizes = [f + t + s for f, t, s in zip(free, targets, sources)]
+    mats = []  # mats[n] is d_{n+1}, dense, sizes[n] x sizes[n + 1]
+    for n, diag in enumerate(diags):
+        m = [[0] * sizes[n + 1] for _ in range(sizes[n])]
+        for i, d in enumerate(diag):
+            m[free[n] + i][free[n + 1] + targets[n + 1] + i] = d
+        mats.append(m)
+    rng = draw(st.randoms(use_true_random=False))
+    for n in range(levels):
+        below = mats[n - 1] if n > 0 else None  # d_n: columns indexed by C_n
+        above = mats[n] if n < levels - 1 else None  # d_{n+1}: rows indexed by C_n
+        for _ in range(2 * sizes[n] if sizes[n] > 1 else 0):
+            i, j = rng.sample(range(sizes[n]), 2)
+            lam = rng.choice((1, -1, 1, -1, 2))
+            if below is not None:  # column j += lam * column i
+                for row in below:
+                    row[j] += lam * row[i]
+            if above is not None:  # row i -= lam * row j
+                above[i] = [x - lam * y for x, y in zip(above[i], above[j])]
+    boundaries = [
+        {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v} for m in mats
+    ]
+    torsion = [[x for x in d if x > 1] for d in diags] + [[]]
+    return ChainComplex(sizes, boundaries), free, torsion
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden_torsion_complexes())
+def test_clearing_matches_reference_on_hidden_torsion(case):
+    cc, betti, torsion = case
+    assert_matches_reference(cc)
+    assert homology(cc) == HomologyResult(betti, torsion)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_clearing_matches_reference_on_models(graph, k):
+    assert_matches_reference(chain_complex(model_complex(graph, k)))
+    assert_matches_reference(chain_complex(model_complex(graph, k, quotient=True)))
+
+
+def close_ends(g):
+    """The same multigraph with every open edge end attached to the first vertex."""
+    first = g.vertices[0]
+    return gr.build_graph(
+        list(g.vertices), [(e.id, e.end_minus or first, e.end_plus or first) for e in g.edges]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_clearing_matches_reference_on_abrams(graph, k):
+    a = abrams_complex(gr.subdivide(close_ends(graph), 2), k)
+    assert_matches_reference(cubical_chain_complex(a))
+    assert_matches_reference(quotient(a))
+
+
+def test_clearing_drops_columns(monkeypatch):
+    # on unordered K3,3 k=3 the pivots of boundaries[2] clear columns of
+    # boundaries[1], which still carries the Z/2 of H_1
+    cc = chain_complex(model_complex(k33(), 3, quotient=True))
+    seen = []
+    real = H.smith_normal_form
+
+    def recording(matrix, pivots=None):
+        seen.append(len(matrix))
+        return real(matrix, pivots)
+
+    monkeypatch.setattr(H, "smith_normal_form", recording)
+    res = homology(cc)
+    assert res.betti == [1, 4, 8, 0] and res.torsion == [[], [2], [], []]
+    full = [len(m) for m in reversed(cc.boundaries)]
+    assert len(seen) == len(full)
+    assert seen[0] == full[0]  # the top matrix is never cleared
+    assert all(s < f for s, f in zip(seen[1:], full[1:]))
+
+
+def bareiss_det(a):
+    """Exact determinant by fraction-free elimination."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def test_bareiss_det():
+    assert bareiss_det([[2, 4], [6, 8]]) == -8
+    assert bareiss_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([[2, 1, 3], [0, 0, 1], [4, 1, 5]]) == 2
+
+
+def test_sweep_pivot_submatrix_is_unimodular():
+    rng = random.Random(41)
+    pivots_seen = 0
+    for case in range(40):
+        n = rng.randint(6, 30)
+        a = _mixed_sparse_matrix(rng, n, n, [(2,), (3,), (2, 4), ()][case % 4])
+        entries = {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+        units, _, pivots = _unit_pivot_sweep(entries)
+        assert units == len(pivots)
+        rows = [r for r, _ in pivots]
+        cols = [c for _, c in pivots]
+        assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+        assert bareiss_det([[a[r][c] for c in cols] for r in rows]) in (1, -1)
+        pivots_seen += units
+    assert pivots_seen >= 200

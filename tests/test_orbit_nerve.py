@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphconf import graphs as gr
+from graphconf.homology import chain_complex, homology
 from graphconf.model import build_model, model_complex, symmetric_action
 from graphconf.nerve import quotient_by_free_action
 
@@ -114,3 +115,30 @@ def test_euler_characteristic_matches_gal(graph, k):
     assert model_complex(graph, k, quotient=True).euler_characteristic() == chi
     assert model_complex(graph, k).euler_characteristic() == factorial(k) * chi
 
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected closed multigraphs: up to three vertices and four edges,
+    loops and parallel edges included."""
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    edges = [(f"t{i}", draw(st.sampled_from(verts[:i])), v) for i, v in enumerate(verts) if i]
+    for i in range(draw(st.integers(0, 4 - len(edges)))):
+        edges.append((f"e{i}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts))))
+    return gr.build_graph(verts, edges)
+
+
+def trimmed_homology(g, k):
+    res = homology(chain_complex(model_complex(g, k, quotient=True)))
+    betti, torsion = list(res.betti), list(res.torsion)
+    while betti and betti[-1] == 0 and not torsion[-1]:
+        betti.pop()
+        torsion.pop()
+    return betti, torsion
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_multigraphs(), st.integers(1, 3))
+def test_unordered_homology_invariant_under_subdivision(graph, k):
+    # the model is a model of UConf_k of the space, not of the cell structure
+    assert trimmed_homology(graph, k) == trimmed_homology(gr.subdivide(graph, 2), k)
