@@ -17,9 +17,15 @@ of a characteristic map is determined by which boundary stratum each
 coordinate hits, so this datum is a faithful encoding of the face-category
 morphisms.  The closure order on an edge's coordinates forces extremality:
 only the first coordinate of the target's order may hit the minus end and
-only the last may hit the plus end.  ``morphisms_into`` lists the
-morphisms into a cell, ``compose_data`` composes data, and
-``act_on_cell`` with ``relocate`` on data is the S_k action.
+only the last may hit the plus end.
+
+``faces_into`` is the one enumeration of the morphisms into a cell.  It
+names each source by its key ``(entries, blocks)``, which identifies a
+configuration cell, and builds no ``BraidCell``: the face category and the
+orbit nerve look keys up in an index of their cells.  ``morphisms_into`` is
+its cell-level view, sorted, for callers that want source cells.
+``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
+data is the S_k action.
 """
 
 from dataclasses import dataclass, field
@@ -169,53 +175,72 @@ def configuration_cells(g: Graph, k: int) -> list[BraidCell]:
     return [c for c in enumerate_braid_cells(g, k) if not in_discriminant(c)]
 
 
+def faces_into(d: BraidCell):
+    """Every nonidentity face-category morphism with target d, as
+    ((source entries, source blocks), datum) pairs, unsorted.
+
+    This is the one enumeration of face data.  The source is given by its
+    key, the ``(entries, blocks)`` pair that identifies a configuration
+    cell, so callers look it up in an index of the cells they hold instead
+    of building and hashing a ``BraidCell``.
+
+    The admissible per-coordinate data are listed directly: for each edge
+    group of the configuration cell d, the first coordinate of the order
+    may drop to the minus end and the last to the plus end (when those ends
+    are attached); everything else stays interior.  Sources must again be
+    configuration cells, so no two coordinates may land on one vertex.
+    Distinct data with equal sources are distinct morphisms; a loop edge
+    used once contributes two (its two endpoint lifts).  Dropping
+    coordinates keeps the other blocks in order, and d's edge groups are
+    listed by ascending edge id, so the source's blocks need no sort.
+    """
+    g = d.graph
+    taken = {x[1] for x in d.entries if x[0] == "v"}
+    per_group = []
+    for eid, part in d.blocks:
+        edge = g.edge(eid)
+        first, last = part[0][0], part[-1][0]  # configuration cells: singleton blocks
+        options = [()]  # each option: (coordinate, end, vertex) moves
+        if edge.end_minus is not None:
+            options.append(((first, END_MINUS, edge.end_minus),))
+        if edge.end_plus is not None:
+            if len(part) > 1:
+                options += [opt + ((last, END_PLUS, edge.end_plus),) for opt in options]
+            else:
+                options.append(((first, END_PLUS, edge.end_plus),))
+        per_group.append(options)
+
+    for combo in product(*per_group):
+        moves = [move for group in combo for move in group]
+        if not moves:
+            continue  # identity
+        landed = [v for _, _, v in moves]
+        if len(set(landed)) != len(landed) or not taken.isdisjoint(landed):
+            continue  # source would touch the discriminant
+        entries = list(d.entries)
+        data = [INTERIOR] * d.k
+        for i, eps, v in moves:
+            entries[i] = ("v", v)
+            data[i] = eps
+        blocks = []
+        for eid, part in d.blocks:
+            kept = tuple(b for b in part if data[b[0]] == INTERIOR)
+            if kept:
+                blocks.append((eid, kept))
+        yield (tuple(entries), tuple(blocks)), tuple(data)
+
+
 def morphisms_into(d: BraidCell) -> list[tuple]:
     """All nonidentity face-category morphisms with target d, as
     (source cell, datum) pairs sorted by (source sort key, datum).
 
-    Enumerates the admissible per-coordinate data directly: for each edge
-    group of the target, the first coordinate of the order may drop to the
-    minus end and the last to the plus end (when those ends are attached);
-    everything else stays interior.  Sources must again be configuration
-    cells.  Distinct data with equal sources are distinct morphisms; a loop
-    edge used once contributes two (its two endpoint lifts).
+    The cell-level view of ``faces_into``: the same morphisms with each
+    source built as a ``BraidCell``.
     """
-    g = d.graph
-    per_group = []
-    for eid, part in d.blocks:
-        edge = g.edge(eid)
-        coords = [b[0] for b in part]  # configuration cells: singleton blocks
-        options = [()]
-        if edge.end_minus is not None:
-            options.append(((coords[0], END_MINUS),))
-        if edge.end_plus is not None:
-            if len(coords) > 1:
-                base = list(options)
-                options = base + [opt + ((coords[-1], END_PLUS),) for opt in base]
-            else:
-                options.append(((coords[0], END_PLUS),))
-        per_group.append(options)
-
-    out = []
-    for combo in product(*per_group):
-        assignment = dict(pair for group in combo for pair in group)
-        if not assignment:
-            continue  # identity
-        entries = list(d.entries)
-        for i, eps in assignment.items():
-            edge = g.edge(entries[i][1])
-            entries[i] = ("v", edge.end_minus if eps == END_MINUS else edge.end_plus)
-        verts = [x[1] for x in entries if x[0] == "v"]
-        if len(set(verts)) != len(verts):
-            continue  # source would touch the discriminant
-        parts = {}
-        for eid, part in d.blocks:
-            kept = tuple(b for b in part if b[0] not in assignment)
-            if kept:
-                parts[eid] = kept
-        source = _make_cell(g, entries, parts)
-        data = tuple(assignment.get(i, INTERIOR) for i in range(d.k))
-        out.append((source, data))
+    out = [
+        (BraidCell(d.k, entries, blocks, d.graph), data)
+        for (entries, blocks), data in faces_into(d)
+    ]
     out.sort(key=lambda m: (m[0].sort_key(), m[1]))
     return out
 

@@ -36,11 +36,16 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
+    def __post_init__(self):
+        # an attribute, not a field, so equality, hashing and repr ignore it;
+        # reversed so that a repeated id finds its first edge
+        object.__setattr__(self, "_edge_by_id", {e.id: e for e in reversed(self.edges)})
+
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise UnknownEdge(f"no edge {edge_id!r}")
+        try:
+            return self._edge_by_id[edge_id]
+        except KeyError:
+            raise UnknownEdge(f"no edge {edge_id!r}") from None
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)

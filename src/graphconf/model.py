@@ -33,11 +33,11 @@ from .nerve import (
 def face_category(objs: list) -> AcyclicCategory:
     """Acyclic category on the given configuration cells, listed in
     canonical order, with the canonical morphisms."""
-    index = {c: i for i, c in enumerate(objs)}
-    morphisms = []
-    for tgt, d in enumerate(objs):
-        for source, data in cl.morphisms_into(d):
-            morphisms.append((index[source], tgt, data))
+    # keyed as ``faces_into`` names sources
+    index = {(c.entries, c.blocks): i for i, c in enumerate(objs)}
+    morphisms = [
+        (index[key], tgt, data) for tgt, d in enumerate(objs) for key, data in cl.faces_into(d)
+    ]
     return AcyclicCategory(
         [c.label() for c in objs],
         [c.dimension for c in objs],
@@ -107,7 +107,7 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
     A chain is a tuple of morphisms (source, target, datum), with cells
     given by their index in ``objs``; each orbit is kept as its lift whose
     bottom cell is canonical (the least of its orbit).  Morphisms out of a
-    canonical cell are found from ``morphisms_into`` of canonical cells
+    canonical cell are found from ``faces_into`` of canonical cells
     only, moved by the permutation that makes their source canonical, and
     a chain ending at cell t is extended by those out of t's canonical
     cell, moved back to t.  The face that drops the bottom morphism is
@@ -115,14 +115,15 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
     """
     if not objs:
         return SemiSimplicialSet([], [])
-    index = {c: i for i, c in enumerate(objs)}
+    index = {(c.entries, c.blocks): i for i, c in enumerate(objs)}
     canon = []  # canon[i]: index of the least cell of cell i's orbit
     to_canon = []  # to_canon[i]: the permutation taking cell i to canon[i]
     lift = []  # lift[i]: its inverse, taking canon[i] to cell i
     members = {}  # (canonical index, rho) -> index of rho . canonical cell
     for i, c in enumerate(objs):
         sigma = cl.canonical_permutation(c)
-        r = index[cl.act_on_cell(sigma, c)]
+        image = cl.act_on_cell(sigma, c)
+        r = index[image.entries, image.blocks]
         canon.append(r)
         to_canon.append(sigma)
         lift.append(_inverse(sigma))
@@ -139,8 +140,8 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
     reps = [i for i, r in enumerate(canon) if i == r]
     out_of = {r: [] for r in reps}  # one morphism per orbit, from its canonical source
     for d in reps:
-        for source, data in cl.morphisms_into(objs[d]):
-            s = index[source]
+        for key, data in cl.faces_into(objs[d]):
+            s = index[key]
             out_of[canon[s]].append(move(to_canon[s], (s, d, data)))
 
     cell_labels = [c.label() for c in objs]

@@ -7,7 +7,10 @@ nonidentity morphisms, middle faces are automatically nondegenerate.
 
 Chains are stored level by level with integer face indices into the level
 below, which makes boundary-matrix assembly a scan and keeps every
-downstream enumeration deterministic.
+downstream enumeration deterministic.  ``build_nerve`` produces each level
+in lexicographic order by extending the level below in order, so nothing
+is sorted; a chain's last face is the chain it extends, and its label is
+that chain's label plus its new top object.
 """
 
 from dataclasses import dataclass, field
@@ -124,56 +127,57 @@ def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:
     Level n+1 is built by appending each outgoing morphism to each n-chain;
     middle faces are composed through the category, which also serves as an
     on-the-fly closure check of the composition law.
+
+    Each level comes out in lexicographic order with no sort.  Level 1 is
+    the morphisms in index order.  If level n is ascending, its chains are
+    extended in that order, and each by the morphisms of an ``out_of`` list,
+    which ascends; two extensions of different parents compare as their
+    parents do, so level n+1 ascends too.  The last face of an extension is
+    the chain it extends, so its index is the parent's position, and its
+    label is the parent's object-chain label plus the new top object.
     """
-    labels = [[cat.object_label(i) for i in range(len(cat.objects))]]
-    faces = [[]]
-    chains = [[(i,) for i in range(len(cat.objects))]]
     if not cat.objects:
         return SemiSimplicialSet([], [], {"chains": []})
+    obj_labels = [cat.object_label(i) for i in range(len(cat.objects))]
+    labels = [obj_labels]
+    faces = [[]]
+    chains = [[(i,) for i in range(len(cat.objects))]]
 
     # chains at level n >= 1: tuples of morphism indices (first arrow first)
     level: list[tuple] = [(m,) for m in range(len(cat.morphisms))]
-    index: dict[tuple, int] = {ch: i for i, ch in enumerate(level)}
     if level:
         labels.append([cat.morphism_label(m) for (m,) in level])
-        faces.append(
-            [(cat.morphisms[m][1], cat.morphisms[m][0]) for (m,) in level]
-        )
+        faces.append([(t, s) for s, t, _ in cat.morphisms])
         chains.append(level)
+    targets = [t for _, t, _ in cat.morphisms]
+    top_labels = [obj_labels[t] for t in targets]
+    # paths[i]: the chain label of chain i's objects, bottom first
+    paths = [chain_label((obj_labels[s], obj_labels[t])) for s, t, _ in cat.morphisms]
+    index: dict[tuple, int] = {ch: i for i, ch in enumerate(level)}
+    out_of, compose = cat.out_of, cat.compose
 
     while level:
-        nxt = []
-        for ch in level:
-            top = cat.morphisms[ch[-1]][1]
-            for m in cat.out_of[top]:
-                nxt.append(ch + (m,))
+        nxt, new_faces, new_paths = [], [], []
+        n = len(level[0]) + 1  # chain length at the new level
+        for parent, ch in enumerate(level):
+            path = paths[parent]
+            for m in out_of[targets[ch[-1]]]:
+                new = ch + (m,)
+                row = [index[new[1:]]]
+                for i in range(1, n):
+                    row.append(index[new[: i - 1] + (compose(new[i], new[i - 1]),) + new[i + 1:]])
+                row.append(parent)
+                nxt.append(new)
+                new_faces.append(tuple(row))
+                new_paths.append(chain_label((path, top_labels[m])))
         if not nxt:
             break
-        nxt.sort()
-        nxt_index = {ch: i for i, ch in enumerate(nxt)}
-        n = len(nxt[0])  # chain length at the new level
-        new_faces = []
-        for ch in nxt:
-            row = []
-            for i in range(n + 1):
-                if i == 0:
-                    f = ch[1:]
-                elif i == n:
-                    f = ch[:-1]
-                else:
-                    f = ch[: i - 1] + (cat.compose(ch[i], ch[i - 1]),) + ch[i + 1:]
-                row.append(index[f])
-            new_faces.append(tuple(row))
-        labels.append([_chain_label(cat, ch) for ch in nxt])
+        labels.append(new_paths)
         faces.append(new_faces)
         chains.append(nxt)
-        level, index = nxt, nxt_index
+        level, paths = nxt, new_paths
+        index = {ch: i for i, ch in enumerate(nxt)}
     return SemiSimplicialSet(labels, faces, {"chains": chains})
-
-
-def _chain_label(cat: AcyclicCategory, ch: tuple) -> str:
-    objs = [cat.morphisms[ch[0]][0]] + [cat.morphisms[m][1] for m in ch]
-    return chain_label(cat.object_label(o) for o in objs)
 
 
 def dimension(s: SemiSimplicialSet) -> int:

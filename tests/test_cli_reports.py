@@ -5,7 +5,7 @@ import pytest
 
 from graphconf import cells, cli, model, nerve, reduced
 from test_cli import run, write_graph
-from test_orbit_nerve import k33
+from test_orbit_nerve import k4, k33
 
 # Recorded from the two-build implementation; a single build must print
 # the same bytes.
@@ -151,3 +151,34 @@ def test_model_quotient_k33_3_pinned(capsys, tmp_path):
     code, out, err = run(capsys, "model", "--graph", str(path), "-k", "3", "--quotient")
     assert code == 0, err
     assert out == K33_3_QUOTIENT
+
+
+# The two jobs of the ordered-homology benchmark workload.  Ordered K4 k=3:
+# chi = 3! * 0, Gal's value.
+K4_3_MODEL = (
+    '{"betti":[1,12,11,0],"components":1,"dimension":3,"euler":0,'
+    '"fvector":[1080,6264,9072,3888],"torsion":[[],[],[],[]]}\n'
+)
+THETA_4_COLLAPSE = (
+    '{"betti":[1,32,7],"components":1,"dimension":2,"euler":-24,'
+    '"fvector":[624,2232,1584],"torsion":[[],[],[]]}\n'
+)
+
+
+def test_model_k4_3_pinned(capsys, tmp_path):
+    g = k4()
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "ends": [e.end_minus, e.end_plus]} for e in g.edges],
+    }))
+    code, out, err = run(capsys, "model", "--graph", str(path), "-k", "3")
+    assert code == 0, err
+    assert out == K4_3_MODEL
+
+
+def test_model_theta_4_collapse_pinned(capsys, tmp_path):
+    path = write_graph(capsys, tmp_path, "theta")
+    code, out, err = run(capsys, "model", "--graph", path, "-k", "4", "--collapse")
+    assert code == 0, err
+    assert out == THETA_4_COLLAPSE

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +50,18 @@ def test_classify_connection_between_hubs():
     g = gr.double_hub_graph(2, 1, 1, 1, 1)
     for eid in ("m1", "m2"):
         assert gr.classify_edge(g, eid) == EdgeClass.CONNECTION
+
+
+def test_edge_lookup_keeps_graph_identity():
+    # the id -> edge table is not a field: equal graphs built separately
+    # still compare, hash, print and serialise alike
+    a, b = gr.theta_graph(), gr.theta_graph()
+    assert a.edge("t2") == a.edges[1]
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert gr.graph_to_json(a) == gr.graph_to_json(b)
+    assert [f.name for f in dataclasses.fields(gr.Graph)] == ["vertices", "edges"]
+    with pytest.raises(UnknownEdge):
+        a.edge("zz")
 
 
 def test_classify_unknown_edge():

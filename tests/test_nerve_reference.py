@@ -1,0 +1,122 @@
+"""The face category and its nerve against the cell-object construction.
+
+``reference_face_category`` finds each source through ``morphisms_into`` and
+an index of ``BraidCell`` objects, and ``reference_build_nerve`` sorts every
+level, looks every face up and joins every label from its objects.  The
+library builds both from source keys and positions; the results must be
+identical, and so must the unordered model built from them.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphconf import cells as cl
+from graphconf import graphs as gr
+from graphconf.model import Model, build_model, face_category, orbit_nerve, symmetric_action
+from graphconf.nerve import (
+    AcyclicCategory,
+    SemiSimplicialSet,
+    build_nerve,
+    chain_label,
+    quotient_by_free_action,
+)
+from test_orbit_nerve import k4, k33, small_multigraphs, xb
+
+
+def reference_face_category(objs):
+    index = {c: i for i, c in enumerate(objs)}
+    morphisms = []
+    for tgt, d in enumerate(objs):
+        for source, data in cl.morphisms_into(d):
+            morphisms.append((index[source], tgt, data))
+    return AcyclicCategory(
+        [c.label() for c in objs],
+        [c.dimension for c in objs],
+        morphisms,
+        cl.compose_data,
+        key_label=cl.data_label,
+    )
+
+
+def reference_build_nerve(cat):
+    labels = [[cat.object_label(i) for i in range(len(cat.objects))]]
+    faces = [[]]
+    chains = [[(i,) for i in range(len(cat.objects))]]
+    if not cat.objects:
+        return SemiSimplicialSet([], [], {"chains": []})
+    level = [(m,) for m in range(len(cat.morphisms))]
+    index = {ch: i for i, ch in enumerate(level)}
+    if level:
+        labels.append([cat.morphism_label(m) for (m,) in level])
+        faces.append([(cat.morphisms[m][1], cat.morphisms[m][0]) for (m,) in level])
+        chains.append(level)
+    while level:
+        nxt = sorted(ch + (m,) for ch in level for m in cat.out_of[cat.morphisms[ch[-1]][1]])
+        if not nxt:
+            break
+        n = len(nxt[0])
+        new_faces = []
+        for ch in nxt:
+            row = []
+            for i in range(n + 1):
+                if i == 0:
+                    f = ch[1:]
+                elif i == n:
+                    f = ch[:-1]
+                else:
+                    f = ch[: i - 1] + (cat.compose(ch[i], ch[i - 1]),) + ch[i + 1:]
+                row.append(index[f])
+            new_faces.append(tuple(row))
+        chain_objs = [[cat.morphisms[ch[0]][0]] + [cat.morphisms[m][1] for m in ch] for ch in nxt]
+        labels.append([chain_label(cat.object_label(o) for o in objs) for objs in chain_objs])
+        faces.append(new_faces)
+        chains.append(nxt)
+        level, index = nxt, {ch: i for i, ch in enumerate(nxt)}
+    return SemiSimplicialSet(labels, faces, {"chains": chains})
+
+
+def assert_matches_reference(g, k):
+    objs = cl.configuration_cells(g, k)
+    cat, ref_cat = face_category(objs), reference_face_category(objs)
+    assert cat.objects == ref_cat.objects
+    assert cat.morphisms == ref_cat.morphisms
+    s, ref = build_nerve(cat), reference_build_nerve(ref_cat)
+    assert s.labels == ref.labels
+    assert s.faces == ref.faces
+    assert s.meta["chains"] == ref.meta["chains"]
+    unordered = quotient_by_free_action(ref, symmetric_action(Model(g, k, ref_cat, ref, objs)))
+    got = orbit_nerve(objs)
+    assert got.labels == unordered.labels
+    assert got.faces == unordered.faces
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [(k4(), 3), (gr.theta_graph(), 4), (xb(), 3), (k33(), 2)],
+    ids=["k4-3", "theta-4", "xb-3", "k33-2"],
+)
+def test_face_category_and_nerve_match_reference(graph, k):
+    assert_matches_reference(graph, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_face_category_and_nerve_match_reference_on_random_multigraphs(graph, k):
+    assert_matches_reference(graph, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_nerve_levels_ascend_and_extend(graph, k):
+    # each level is strictly increasing, and a chain's last face is the
+    # chain it extends (for a single morphism, its source object)
+    m = build_model(graph, k)
+    s, morphisms = m.complex, m.category.morphisms
+    chains = s.meta["chains"]
+    for n in range(1, len(chains)):
+        level = chains[n]
+        assert all(a < b for a, b in zip(level, level[1:]))
+        below = {ch: i for i, ch in enumerate(chains[n - 1])}
+        for ch, fs in zip(level, s.faces[n]):
+            parent = ch[:-1] if n > 1 else (morphisms[ch[0]][0],)
+            assert fs[-1] == below[parent]

@@ -128,8 +128,8 @@ def connected_multigraphs(draw):
     return gr.build_graph(verts, edges)
 
 
-def trimmed_homology(g, k):
-    res = homology(chain_complex(model_complex(g, k, quotient=True)))
+def trimmed_homology(g, k, quotient=True):
+    res = homology(chain_complex(model_complex(g, k, quotient=quotient)))
     betti, torsion = list(res.betti), list(res.torsion)
     while betti and betti[-1] == 0 and not torsion[-1]:
         betti.pop()
@@ -142,3 +142,11 @@ def trimmed_homology(g, k):
 def test_unordered_homology_invariant_under_subdivision(graph, k):
     # the model is a model of UConf_k of the space, not of the cell structure
     assert trimmed_homology(graph, k) == trimmed_homology(gr.subdivide(graph, 2), k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_multigraphs(), st.integers(1, 2))
+def test_ordered_homology_invariant_under_subdivision(graph, k):
+    assert trimmed_homology(graph, k, quotient=False) == trimmed_homology(
+        gr.subdivide(graph, 2), k, quotient=False
+    )
