@@ -16,7 +16,13 @@ from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_compl
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
 from .model import build_model, model_complex, orbit_nerve
-from .nerve import EmptyComplex, SemiSimplicialSet, dimension, quotient_by_free_action
+from .nerve import (
+    EmptyComplex,
+    SemiSimplicialSet,
+    collapse_free_faces,
+    dimension,
+    quotient_by_free_action,
+)
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
 _FAMILIES = {
@@ -75,8 +81,22 @@ def _refuse_unused_flags(args) -> None:
 
 
 def _report_of_complex(s: SemiSimplicialSet) -> dict:
-    cc = chain_complex(s)
-    hom = homology(cc)
+    """Report of a model; its homology is computed on its free-face collapse.
+
+    The full complex is checked by its face identities, which imply d^2 = 0
+    for ``chain_complex``'s signs, so this guard is stronger than the d^2
+    check of its chain complex.  Collapsing is exact over Z: a free pair is
+    a +-1 entry alone in its row (the free face has one coface), a unit
+    pivot whose elimination creates no fill, so removing the pair keeps
+    every Betti number and torsion coefficient.  ``ChainComplex`` checks
+    d^2 = 0 on the collapsed complex it reduces.  A collapse can empty the
+    top levels, so its homology is padded with zeros up to the full
+    dimension; f-vector, dimension, components and Euler characteristic
+    come from the full complex.
+    """
+    s.validate_face_identities()
+    hom = homology(chain_complex(collapse_free_faces(s)))
+    pad = len(s.labels) - len(hom.betti)
     try:
         dim = dimension(s)
     except EmptyComplex:
@@ -84,9 +104,9 @@ def _report_of_complex(s: SemiSimplicialSet) -> dict:
     return {
         "fvector": list(s.fvector()),
         "dimension": dim,
-        "euler": cc.euler_characteristic(),
-        "betti": hom.betti,
-        "torsion": hom.torsion,
+        "euler": s.euler_characteristic(),
+        "betti": hom.betti + [0] * pad,
+        "torsion": hom.torsion + [[] for _ in range(pad)],
         "components": len(connected_components(s)) if s.size(0) else 0,
     }
 

@@ -18,6 +18,16 @@ with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and compress",
 2014): a row the sweep of d_{n+1} pivoted on is a column of d_n that
 cannot add to its image, so that column never reaches the sweep.  The
 argument that this is exact is in ``homology``'s docstring.
+
+A model's homology, as the CLI reports it, is computed on its free-face
+collapse (``nerve.collapse_free_faces``), which removes cells before any
+matrix is built.  That is exact over Z: a free face has one coface, so its
+row of the boundary holds a single +-1, a unit pivot whose elimination
+creates no fill, and removing the pair keeps every Betti number and
+torsion coefficient.  The full model is checked by its face identities
+d_i d_j = d_{j-1} d_i (``SemiSimplicialSet.validate_face_identities``),
+which imply d^2 = 0 for the signs above; ``ChainComplex`` checks d^2 = 0
+on the collapsed complex it is given.
 """
 
 from dataclasses import dataclass

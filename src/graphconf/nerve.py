@@ -14,6 +14,7 @@ that chain's label plus its new top object.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import EmptyComplex, InternalError, InvalidCategory, NonComposable, NonFreeAction
 
@@ -107,18 +108,40 @@ class SemiSimplicialSet:
         return sum((-1) ** n * len(level) for n, level in enumerate(self.labels))
 
     def validate_face_identities(self) -> None:
-        """Check d_i d_j = d_{j-1} d_i for i < j on every chain."""
-        for n in range(2, len(self.labels)):
-            for idx in range(len(self.labels[n])):
-                fs = self.faces[n][idx]
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        left = self.faces[n - 1][fs[j]][i]
-                        right = self.faces[n - 1][fs[i]][j - 1]
-                        if left != right:
-                            raise InternalError(
-                                f"face identity fails at dim {n} chain {idx} (i={i}, j={j})"
-                            )
+        """Check that every n-chain (n >= 1) has n+1 faces, each an index
+        into level n-1, and that d_i d_j = d_{j-1} d_i for i < j.
+
+        Any failure raises ``InternalError``.  The identities imply d^2 = 0
+        for ``chain_complex``'s signs d = sum_i (-1)^i d_i: in d d c the
+        terms d_i d_j c and d_{j-1} d_i c (i < j) have signs (-1)^(i+j) and
+        (-1)^(i+j-1) and cancel.
+        """
+        if len(self.faces) != len(self.labels):
+            raise InternalError("face levels do not match chain levels")
+        for n in range(1, len(self.labels)):
+            level, below = self.faces[n], len(self.labels[n - 1])
+            if len(level) != len(self.labels[n]):
+                raise InternalError(f"face count does not match chain count at dim {n}")
+            if any(len(fs) != n + 1 for fs in level):
+                raise InternalError(f"a chain at dim {n} does not have {n + 1} faces")
+            flat = list(chain.from_iterable(level))
+            lo, hi = min(flat, default=0), max(flat, default=0)
+            if lo < 0 or hi >= below:
+                idx = flat.index(lo if lo < 0 else hi) // (n + 1)
+                raise InternalError(f"face index out of range at dim {n} chain {idx}")
+            if n == 1:
+                continue
+            lower = self.faces[n - 1]
+            # one (i, j) pair at a time over the whole level
+            for j in range(1, n + 1):
+                for i in range(j):
+                    left = [lower[fs[j]][i] for fs in level]
+                    right = [lower[fs[i]][j - 1] for fs in level]
+                    if left != right:
+                        idx = next(x for x, (a, b) in enumerate(zip(left, right)) if a != b)
+                        raise InternalError(
+                            f"face identity fails at dim {n} chain {idx} (i={i}, j={j})"
+                        )
 
 
 def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:

@@ -201,6 +201,27 @@ def test_face_identity_failure_is_internal_error():
         SemiSimplicialSet(s.labels, faces).validate_face_identities()
 
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("change", [lambda fs: fs[:-1], lambda fs: fs + (0,)], ids=["short", "long"])
+def test_face_arity_failure_is_internal_error(level, change):
+    # chain_complex would take every listed face, so a chain must have n+1
+    s = model_complex(gr.theta_graph(), 2)
+    faces = [list(lv) for lv in s.faces]
+    faces[level][0] = change(faces[level][0])
+    with pytest.raises(InternalError, match=f"does not have {level + 1} faces"):
+        SemiSimplicialSet(s.labels, faces).validate_face_identities()
+
+
+def test_face_list_shape_failure_is_internal_error():
+    s = model_complex(gr.theta_graph(), 2)
+    with pytest.raises(InternalError, match="face levels"):
+        SemiSimplicialSet(s.labels, s.faces[:-1]).validate_face_identities()
+    faces = [list(lv) for lv in s.faces]
+    faces[1].append(faces[1][0])
+    with pytest.raises(InternalError, match="face count"):
+        SemiSimplicialSet(s.labels, faces).validate_face_identities()
+
+
 def test_collapse_preserves_betti():
     for g, k in [(gr.cycle_graph(2), 2), (gr.y_graph(), 2), (gr.remove_leaves(gr.hub_graph(2, 1)), 2)]:
         s = model_complex(g, k)
