@@ -52,12 +52,8 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="emit a graph from the shipped corpus")
     g.add_argument("family", choices=sorted(_FAMILIES))
-    g.add_argument("-n", type=int, default=1)
-    g.add_argument("-k", type=int, default=0)
-    g.add_argument("-l", type=int, default=0)
-    g.add_argument("-p", type=int, default=0)
-    g.add_argument("-q", type=int, default=0)
-    g.add_argument("-x", type=int, default=1)
+    for p in _GEN_LIMITS:  # None when not given: a family's parameter then takes its floor
+        g.add_argument(f"-{p}", type=int)
     g.add_argument("--out")
 
     for name in ("model", "braidgroup", "compare", "reduced"):
@@ -80,7 +76,7 @@ def _refuse_unused_flags(args) -> None:
             raise InputError(f"--{flag} is only used by the {' and '.join(users)} command{plural}")
 
 
-def _report_of_complex(s: SemiSimplicialSet) -> dict:
+def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     """Report of a model; its homology is computed on its free-face collapse.
 
     The full complex is checked by its face identities, which imply d^2 = 0
@@ -89,13 +85,16 @@ def _report_of_complex(s: SemiSimplicialSet) -> dict:
     a +-1 entry alone in its row (the free face has one coface), a unit
     pivot whose elimination creates no fill, so removing the pair keeps
     every Betti number and torsion coefficient.  ``ChainComplex`` checks
-    d^2 = 0 on the collapsed complex it reduces.  A collapse can empty the
-    top levels, so its homology is padded with zeros up to the full
-    dimension; f-vector, dimension, components and Euler characteristic
-    come from the full complex.
+    d^2 = 0 on the collapsed complex it reduces.  F-vector, dimension,
+    components and Euler characteristic are those of the full complex, or
+    of the collapse when ``collapse`` is set.  A collapse can empty the top
+    levels, so the homology is padded with zeros up to that dimension.
     """
     s.validate_face_identities()
-    hom = homology(chain_complex(collapse_free_faces(s)))
+    small = collapse_free_faces(s)
+    hom = homology(chain_complex(small))
+    if collapse:
+        s = small
     pad = len(s.labels) - len(hom.betti)
     try:
         dim = dimension(s)
@@ -123,10 +122,15 @@ def _cc_report(cc) -> dict:
 
 def cmd_gen(args) -> dict:
     make, params = _FAMILIES[args.family]
+    for p in _GEN_LIMITS:
+        if p not in params and getattr(args, p) is not None:
+            raise InputError(f"-{p} is not a parameter of the {args.family} family")
     for p in params:
-        value = getattr(args, p)
         limit = _XB_LIMITS[p] if args.family == "xb" else _GEN_LIMITS[p]
         floor = 1 if p in ("n", "x") else 0
+        if getattr(args, p) is None:
+            setattr(args, p, floor)
+        value = getattr(args, p)
         if not floor <= value <= limit:
             raise InputError(f"parameter -{p} must be in [{floor}, {limit}] for {args.family}")
     return gr.graph_to_json(make(args))
@@ -143,14 +147,8 @@ def cmd_model(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    s = model_complex(
-        g,
-        args.k,
-        drop_leaves=args.remove_leaves,
-        quotient=args.quotient,
-        collapse=args.collapse,
-    )
-    return _report_of_complex(s)
+    s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=args.quotient)
+    return _report_of_complex(s, collapse=args.collapse)
 
 
 def _group_report(s: SemiSimplicialSet) -> dict:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DuplicateId, OpenEdge, UnknownEdge, UnknownVertex
+from .errors import DuplicateId, InputError, OpenEdge, UnknownEdge, UnknownVertex
 
 
 class EdgeClass(Enum):
@@ -55,13 +55,26 @@ class Graph:
         return all(e.end_minus is not None and e.end_plus is not None for e in self.edges)
 
 
+# characters that cell labels "(v,e#0)" and chain labels "a>d>b", "a|b|c"
+# are built with; an id holding one could give two cells one label
+_LABEL_SYNTAX = "(),#>|"
+
+
+def _require_plain_id(name: str) -> None:
+    if any(ch in _LABEL_SYNTAX for ch in name):
+        raise InputError(f"id {name!r} holds one of {_LABEL_SYNTAX!r}, which build labels")
+
+
 def build_graph(vertex_ids, edge_specs) -> Graph:
     """Validate and build a graph from ids and (id, end_minus, end_plus) triples.
 
-    Ends given as None are open.  Identifiers must be unique and referenced
+    Ends given as None are open.  Identifiers must be unique, must not hold
+    a character that cell and chain labels are built with, and referenced
     vertices must exist; nothing else is normalized.
     """
     verts = list(vertex_ids)
+    for v in verts:
+        _require_plain_id(v)
     if len(set(verts)) != len(verts):
         raise DuplicateId("duplicate vertex id")
     edges = []
@@ -69,6 +82,7 @@ def build_graph(vertex_ids, edge_specs) -> Graph:
     vset = set(verts)
     for spec in edge_specs:
         eid, lo, hi = spec
+        _require_plain_id(eid)
         if eid in seen:
             raise DuplicateId(f"duplicate edge id {eid!r}")
         seen.add(eid)

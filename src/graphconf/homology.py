@@ -7,10 +7,9 @@ that splits off unit pivots (which is almost all of a cellular boundary
 matrix), then a textbook reduction of the small remaining core over Python
 integers, so no intermediate value ever overflows.  The sweep takes its
 pivots in Markowitz order, the one that creates the least fill, and only
-the core's factors need the divisibility normalisation, since a unit
-divides everything; both keep the work near-linear in the nonzeros of a
-boundary matrix.  Invariant factors are unique, so neither choice can
-change a result.
+the core needs a divisibility chain, since a unit divides everything; both
+keep the work near-linear in the nonzeros of a boundary matrix.  Invariant
+factors are unique, so neither choice can change a result.
 
 ``homology`` reduces the boundaries from the top dimension down and clears
 as it goes (the "twist" of Chen-Kerber, "Persistent homology computation
@@ -32,10 +31,9 @@ on the collapsed complex it is given.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .errors import NotAComplex
-from .nerve import SemiSimplicialSet
+from .nerve import SemiSimplicialSet, min_roots
 
 
 @dataclass
@@ -254,6 +252,10 @@ def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
     (row, col) -> value.  Arithmetic is exact at arbitrary precision.  If
     ``pivots`` is a list, the (row, col) pairs of the unit-pivot sweep are
     appended to it.
+
+    The sweep's factors are 1, which divides everything.  ``_dense_smith``
+    re-enters a pivot until it divides every remaining entry, and that
+    step alone makes the core's factors a divisibility chain.
     """
     if isinstance(matrix, dict):
         entries = {k: int(v) for k, v in matrix.items() if v}
@@ -267,13 +269,7 @@ def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
     units, core, swept = _unit_pivot_sweep(entries)
     if pivots is not None:
         pivots.extend(swept)
-    tail = _dense_smith(core)
-    # normalize the divisibility chain of the core; units divide everything
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            g = gcd(tail[i], tail[j])
-            tail[i], tail[j] = g, tail[i] // g * tail[j]
-    factors = [1] * units + tail
+    factors = [1] * units + _dense_smith(core)
     return tuple(factors), len(factors)
 
 
@@ -320,20 +316,8 @@ def homology(cc: ChainComplex) -> HomologyResult:
 
 def connected_components(s: SemiSimplicialSet) -> list:
     """Partition of the 0-chains under the 1-chain adjacency."""
-    count = s.size(0)
-    parent = list(range(count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fs in s.faces[1] if len(s.faces) > 1 else []:
-        ra, rb = find(fs[0]), find(fs[1])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    edges = s.faces[1] if len(s.faces) > 1 else []
+    for i, r in enumerate(min_roots(s.size(0), edges)):
+        groups.setdefault(r, []).append(i)
+    return list(groups.values())

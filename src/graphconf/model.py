@@ -1,8 +1,8 @@
 """High-level pipeline: graph -> face category -> nerve model.
 
 This is the glue the CLI and tests use: it builds the acyclic category of
-configuration cells, takes its nerve, and optionally removes leaves first,
-passes to the symmetric-group quotient, or collapses free faces.
+configuration cells, takes its nerve, and optionally removes leaves first
+or passes to the symmetric-group quotient.
 
 The unordered model is built directly as the nerve of the orbit category
 C/S_k: S_k acts freely on configuration cells, so nerve(C)/S_k is
@@ -26,7 +26,6 @@ from .nerve import (
     arrow_label,
     build_nerve,
     chain_label,
-    collapse_free_faces,
 )
 
 
@@ -182,21 +181,13 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
 
 
 def model_complex(
-    g: gr.Graph,
-    k: int,
-    drop_leaves: bool = False,
-    quotient: bool = False,
-    collapse: bool = False,
+    g: gr.Graph, k: int, drop_leaves: bool = False, quotient: bool = False
 ) -> SemiSimplicialSet:
     """The configuration model as a semi-simplicial set, with options applied
-    in the order: leaf removal, quotient, collapse.  The quotient is built
-    directly by ``orbit_nerve``; the ordered model is not built for it."""
+    in the order: leaf removal, quotient.  The quotient is built directly by
+    ``orbit_nerve``; the ordered model is not built for it."""
     if drop_leaves:
         g = gr.remove_leaves(g)
     if quotient:
-        s = orbit_nerve(cl.configuration_cells(g, k))
-    else:
-        s = build_model(g, k).complex
-    if collapse:
-        s = collapse_free_faces(s)
-    return s
+        return orbit_nerve(cl.configuration_cells(g, k))
+    return build_model(g, k).complex

@@ -88,7 +88,12 @@ def chain_label(objects) -> str:
 class SemiSimplicialSet:
     """Nondegenerate chains per dimension with explicit face indices."""
 
-    labels: list  # labels[n][i]: stable id of chain i in dimension n
+    # labels[n][i]: name of chain i in dimension n.  At levels 0 and 1 a
+    # label is a unique id (a cell, or an arrow with its datum).  Above, it
+    # names only the chain's objects, so parallel morphisms (as loops give)
+    # repeat it: ordered k=3 on ``gen xb -x 2 -k 1 -l 1 -p 1 -q 1`` has 552
+    # level-2 chains whose label an earlier chain already has.
+    labels: list
     faces: list  # faces[n][i]: tuple of n+1 indices into dimension n-1 (n >= 1)
     meta: dict = field(default_factory=dict)
 
@@ -106,6 +111,33 @@ class SemiSimplicialSet:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * len(level) for n, level in enumerate(self.labels))
+
+    def restrict(self, keep, new_index=None) -> "SemiSimplicialSet":
+        """The chains ``keep[n]`` of each level n, in that order, with their
+        faces renumbered through ``new_index[n - 1]``.
+
+        ``new_index[n][i]`` is the new position of chain i of level n; by
+        default a kept chain goes to its position in ``keep[n]``.  A face
+        with no new position raises ``InternalError``.  Trailing empty
+        levels are dropped.
+        """
+        if new_index is None:
+            new_index = [{i: j for j, i in enumerate(level)} for level in keep]
+        labels, faces = [], []
+        for n, level in enumerate(keep):
+            labels.append([self.labels[n][i] for i in level])
+            if n == 0:
+                faces.append([])
+                continue
+            below, up = new_index[n - 1].__getitem__, self.faces[n]
+            try:
+                faces.append([tuple(map(below, up[i])) for i in level])
+            except (KeyError, IndexError) as exc:
+                raise InternalError(f"a kept chain at dim {n} has a dropped face") from exc
+        while labels and not labels[-1]:
+            labels.pop()
+            faces.pop()
+        return SemiSimplicialSet(labels, faces)
 
     def validate_face_identities(self) -> None:
         """Check that every n-chain (n >= 1) has n+1 faces, each an index
@@ -240,33 +272,32 @@ def quotient_by_free_action(s: SemiSimplicialSet, action) -> SemiSimplicialSet:
             if img == i:
                 raise NonFreeAction(f"object {s.labels[0][i]} fixed by a nonidentity element")
 
-    new_labels, new_faces, reindex = [], [], []
-    for n in range(len(s.labels)):
-        count = len(s.labels[n])
-        parent = list(range(count))
+    keep, new_index = [], []
+    for n, level in enumerate(s.labels):
+        roots = min_roots(len(level), ((i, g[n][i]) for g in action for i in range(len(level))))
+        reps = [i for i, r in enumerate(roots) if i == r]
+        position = {r: j for j, r in enumerate(reps)}
+        keep.append(reps)
+        new_index.append([position[r] for r in roots])
+    return s.restrict(keep, new_index)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for g in action:
-            for i in range(count):
-                ra, rb = find(i), find(g[n][i])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        reps = sorted({find(i) for i in range(count)})
-        rep_pos = {r: j for j, r in enumerate(reps)}
-        reindex.append([rep_pos[find(i)] for i in range(count)])
-        new_labels.append([s.labels[n][r] for r in reps])
-        if n >= 1:
-            new_faces.append(
-                [tuple(reindex[n - 1][f] for f in s.faces[n][r]) for r in reps]
-            )
-        else:
-            new_faces.append([])
-    return SemiSimplicialSet(new_labels, new_faces)
+def min_roots(count: int, pairs) -> list:
+    """roots[i]: the least member of i's class in the equivalence relation
+    on range(count) that the (a, b) pairs generate (union-find)."""
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(count)]
 
 
 def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
@@ -308,17 +339,4 @@ def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
                 if n:
                     for f in s.faces[n][t]:
                         count[n - 1][f] -= 1
-    labels, faces, reindex = [], [], []
-    for n in range(len(s.labels)):
-        keep = [i for i, ok in enumerate(alive[n]) if ok]
-        pos = {i: j for j, i in enumerate(keep)}
-        reindex.append(pos)
-        labels.append([s.labels[n][i] for i in keep])
-        if n >= 1:
-            faces.append([tuple(reindex[n - 1][f] for f in s.faces[n][i]) for i in keep])
-        else:
-            faces.append([])
-    while labels and not labels[-1]:
-        labels.pop()
-        faces.pop()
-    return SemiSimplicialSet(labels, faces)
+    return s.restrict([[i for i, ok in enumerate(level) if ok] for level in alive])

@@ -39,7 +39,8 @@ class EdgeSkeleton:
     words: list  # per 2-cell: list of (edge index, +-1)
 
 
-def _skeleton(s) -> EdgeSkeleton:
+def skeleton(s) -> EdgeSkeleton:
+    """The 2-skeleton of a semi-simplicial set or a glued complex."""
     if isinstance(s, SemiSimplicialSet):
         edges = []
         if s.dimensions > 1:
@@ -60,7 +61,7 @@ def _skeleton(s) -> EdgeSkeleton:
 
 def spanning_tree(s) -> set:
     """Indices of 1-cells in a breadth-first tree from the least 0-cell."""
-    sk = _skeleton(s)
+    sk = skeleton(s)
     if sk.vertex_count == 0:
         raise Disconnected("empty complex has no spanning tree")
     adj: dict[int, list] = {v: [] for v in range(sk.vertex_count)}
@@ -84,7 +85,7 @@ def spanning_tree(s) -> set:
 
 def presentation(s) -> Presentation:
     """Edge-path presentation of the fundamental group of the 2-skeleton."""
-    sk = _skeleton(s)
+    sk = skeleton(s)
     tree = spanning_tree(s)
     gens = [sk.edges[i][0] for i in sorted(i for i in range(len(sk.edges)) if i not in tree)]
     gen_of_edge = {}
@@ -201,7 +202,7 @@ def abelianization(p: Presentation) -> tuple[int, list]:
 
 def free_rank(s) -> int:
     """Rank 1 - chi of a connected 1-dimensional complex."""
-    sk = _skeleton(s)
+    sk = skeleton(s)
     if sk.words:
         raise NotOneDimensional("complex has 2-cells")
     if isinstance(s, SemiSimplicialSet) and s.dimensions > 2 and any(s.labels[2:]):

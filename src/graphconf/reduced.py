@@ -37,6 +37,7 @@ from .graphs import EdgeClass, Graph, classify_edge, is_connected, valency
 from .homology import ChainComplex
 from .model import Model, build_model, symmetric_action
 from .nerve import SemiSimplicialSet
+from .pi1 import skeleton
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,12 @@ class GluedComplex:
         return len(self.vertices) - len(self.edges) + len(self.faces2)
 
 
-def _keep_top_chain(g: Graph, cell: cl.BraidCell, length: int, data) -> bool:
-    """Retention rule for a chain whose top object is the 2-cell ``cell``."""
+def _keep_chain(g: Graph, cell: cl.BraidCell, length: int, data) -> bool:
+    """Retention rule for a chain of ``length`` morphisms whose top object
+    is ``cell`` and whose last datum is ``data`` (None at length 0).  A
+    chain below a 2-cell always stays."""
+    if cell.dimension < 2:
+        return True
     e0, e1 = cell.entries[0][1], cell.entries[1][1]
     if e0 == e1:
         kind = classify_edge(g, e0)
@@ -157,60 +162,24 @@ def build_reduced(g: Graph) -> GluedComplex:
     s = model.complex
     if s.size(0) == 0:
         raise EmptyComplex("no two-point configuration fits the graph")
-    chains = s.meta["chains"]
     cat = model.category
+    keep = []
+    for n, level in enumerate(s.meta["chains"]):
+        keep.append([])
+        for i, ch in enumerate(level):
+            _, top, data = cat.morphisms[ch[-1]] if n else (None, ch[0], None)
+            if _keep_chain(g, model.cells[top], n, data):
+                keep[-1].append(i)
+    sub = s.restrict(keep)
+    kept = keep[: sub.dimensions]
 
-    kept: list[list[int]] = []
-    for n in range(len(s.labels)):
-        level = []
-        for i, ch in enumerate(chains[n]):
-            if n == 0:
-                cell = model.cells[ch[0]]
-                if cell.dimension < 2:
-                    level.append(i)
-                elif _keep_top_chain(g, cell, 0, None):
-                    level.append(i)
-                continue
-            top = cat.morphisms[ch[-1]]
-            cell = model.cells[top[1]]
-            if cell.dimension < 2:
-                level.append(i)
-            elif _keep_top_chain(g, cell, n, top[2]):
-                level.append(i)
-        kept.append(level)
-    while kept and not kept[-1]:
-        kept.pop()
-
-    pos = [
-        {old: new for new, old in enumerate(level)} for level in kept
+    sk = skeleton(sub)
+    vertices = sub.labels[0]
+    edges = [(label, vertices[src], vertices[dst]) for label, src, dst in sk.edges]
+    faces2 = [
+        (label, [(sk.edges[e][0], sign) for e, sign in word])
+        for label, word in zip(sub.labels[2] if sub.dimensions > 2 else [], sk.words)
     ]
-    labels, faces = [], []
-    for n, level in enumerate(kept):
-        labels.append([s.labels[n][i] for i in level])
-        if n == 0:
-            faces.append([])
-            continue
-        rows = []
-        for i in level:
-            row = []
-            for f in s.faces[n][i]:
-                if f not in pos[n - 1]:
-                    raise InternalError("retained chain has a dropped face")
-                row.append(pos[n - 1][f])
-            rows.append(tuple(row))
-        faces.append(rows)
-    sub = SemiSimplicialSet(labels, faces)
-
-    vertices = list(labels[0])
-    edges = []
-    if len(labels) > 1:
-        for i, fs in enumerate(faces[1]):
-            edges.append((labels[1][i], vertices[fs[1]], vertices[fs[0]]))
-    faces2 = []
-    if len(labels) > 2:
-        for i, fs in enumerate(faces[2]):
-            word = [(labels[1][fs[2]], 1), (labels[1][fs[0]], 1), (labels[1][fs[1]], -1)]
-            faces2.append((labels[2][i], word))
     return GluedComplex(vertices, edges, faces2, sub, model, kept)
 
 

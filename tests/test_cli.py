@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from graphconf.cli import main
+from graphconf.nerve import collapse_free_faces
 
 
 def run(capsys, *argv):
@@ -37,6 +39,17 @@ def test_gen_rejects_out_of_range(capsys):
     assert code == 3 and "parameter" in err
 
 
+@pytest.mark.parametrize("args", [["theta", "-k", "3", "-n", "4"], ["s1_min", "-n", "1"], ["w", "-x", "1"]])
+def test_gen_refuses_parameters_its_family_does_not_use(capsys, args):
+    code, out, err = run(capsys, "gen", *args)
+    assert code == 3 and out == "" and "is not a parameter of" in err
+
+
+def test_gen_parameter_not_given_takes_its_floor(capsys):
+    assert run(capsys, "gen", "s1_sd") == run(capsys, "gen", "s1_sd", "-n", "1")
+    assert run(capsys, "gen", "w") == run(capsys, "gen", "w", "-k", "0", "-l", "0")
+
+
 def test_model_square(capsys, tmp_path):
     path = write_graph(capsys, tmp_path, "s1_min")
     code, out, _ = run(capsys, "model", "--graph", path, "-k", "2")
@@ -59,6 +72,25 @@ def test_model_collapse_dodecagon(capsys, tmp_path):
     code, out, _ = run(capsys, "model", "--graph", path, "-k", "2", "--remove-leaves", "--collapse")
     report = json.loads(out)
     assert report["fvector"] == [12, 12]
+
+
+def test_model_collapse_collapses_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s.fvector())
+        return collapse_free_faces(s)
+
+    # every graphconf module that binds the function, whichever one calls it
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "collapse_free_faces", None)
+        if name.startswith("graphconf") and bound is collapse_free_faces:
+            monkeypatch.setattr(module, "collapse_free_faces", counted)
+    path = write_graph(capsys, tmp_path, "theta")
+    code, out, err = run(capsys, "model", "--graph", path, "-k", "3", "--collapse")
+    assert code == 0, err
+    assert len(calls) == 1
+    assert json.loads(out)["fvector"] != list(calls[0])  # the collapsed f-vector is reported
 
 
 def test_model_output_byte_stable(capsys, tmp_path):
@@ -182,6 +214,18 @@ def test_stdout_carries_json_only(capsys, tmp_path):
         {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b", "a"]}]},
         {"vertices": ["a"], "edges": [{"id": "e", "ends": ["a"]}]},
         {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": "ab"}]},
+        # a 4-cycle plus chord whose ids make "(x,y,z)" name two cells
+        {
+            "vertices": ["x", "y,z", "x,y", "z"],
+            "edges": [
+                {"id": "e1", "ends": ["x", "y,z"]},
+                {"id": "e2", "ends": ["y,z", "x,y"]},
+                {"id": "e3", "ends": ["x,y", "z"]},
+                {"id": "e4", "ends": ["z", "x"]},
+                {"id": "e5", "ends": ["x", "x,y"]},
+            ],
+        },
+        {"vertices": ["a"], "edges": [{"id": "e#0", "ends": ["a", "a"]}]},
     ],
     ids=[
         "int-vertex-id",
@@ -191,6 +235,8 @@ def test_stdout_carries_json_only(capsys, tmp_path):
         "three-edge-ends",
         "one-edge-end",
         "string-edge-ends",
+        "comma-vertex-ids",
+        "hash-edge-id",
     ],
 )
 def test_exit_code_ids_not_strings(capsys, tmp_path, graph):

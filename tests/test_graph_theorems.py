@@ -42,7 +42,11 @@ def essential_count(g):
 @settings(max_examples=60, deadline=None)
 @given(open_connected_multigraphs(), st.integers(1, 3), st.booleans())
 def test_homology_vanishes_above_essential_bound_and_h1_torsion_free(graph, k, quotient):
-    res = homology(chain_complex(model_complex(graph, k, quotient=quotient)))
+    s = model_complex(graph, k, quotient=quotient)
+    # vertices and generators are keyed by these labels
+    for level in s.labels[:2]:
+        assert len(set(level)) == len(level)
+    res = homology(chain_complex(s))
     bound = max(1, min(k, essential_count(graph)))
     for i in range(bound + 1, len(res.betti)):
         assert res.betti[i] == 0 and res.torsion[i] == [], (i, res)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphconf import graphs as gr
-from graphconf.errors import DuplicateId, OpenEdge, UnknownEdge, UnknownVertex
+from graphconf.errors import DuplicateId, InputError, OpenEdge, UnknownEdge, UnknownVertex
 from graphconf.graphs import EdgeClass
 
 
@@ -34,6 +34,14 @@ def test_build_rejects_duplicates():
 def test_build_rejects_unknown_vertex():
     with pytest.raises(UnknownVertex):
         gr.build_graph(["v"], [("a", "v", "w")])
+
+
+@pytest.mark.parametrize("char", "(),#>|")
+def test_build_rejects_ids_holding_label_syntax(char):
+    with pytest.raises(InputError):
+        gr.build_graph(["v", f"w{char}"], [])
+    with pytest.raises(InputError):
+        gr.build_graph(["v"], [(f"a{char}", "v", "v")])
 
 
 def test_classify_loop():

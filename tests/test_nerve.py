@@ -148,6 +148,17 @@ def test_collapse_y_open_to_dodecagon():
     assert out.fvector() == (12, 12)
 
 
+def test_restrict_renumbers_faces_and_refuses_a_dropped_face():
+    # the segment p < q > r: chains p, q, r and the arrows p->q, r->q
+    s = build_nerve(poset_category([("p", "q"), ("r", "q")], {"p": 0, "r": 0, "q": 1}))
+    out = s.restrict([[1, 2], [1]])
+    assert out.labels == [[s.labels[0][1], s.labels[0][2]], [s.labels[1][1]]]
+    assert out.faces == [[], [(0, 1)]]  # r->q has faces (q, r) at their new positions
+    assert s.restrict([[0], []]).fvector() == (1,)  # trailing empty levels are dropped
+    with pytest.raises(InternalError):
+        s.restrict([[0, 1], [1]])  # r->q keeps r, which is dropped
+
+
 def test_collapse_segment_to_point():
     cat = poset_category([("p", "q"), ("r", "q")], {"p": 0, "r": 0, "q": 1})
     out = collapse_free_faces(build_nerve(cat))
