@@ -12,7 +12,13 @@ import sys
 
 from . import graphs as gr
 from . import pi1
-from .abrams import abrams_complex, check_abrams_conditions, cubical_chain_complex
+from .abrams import (
+    AbramsComplex,
+    abrams_complex,
+    check_abrams_conditions,
+    free_face_collapse,
+    cubical_chain_complex,
+)
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
 from .model import build_model, model_complex, orbit_nerve
@@ -92,10 +98,8 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     """
     s.validate_face_identities()
     small = collapse_free_faces(s)
-    hom = homology(chain_complex(small))
     if collapse:
         s = small
-    pad = len(s.labels) - len(hom.betti)
     try:
         dim = dimension(s)
     except EmptyComplex:
@@ -104,20 +108,31 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
         "fvector": list(s.fvector()),
         "dimension": dim,
         "euler": s.euler_characteristic(),
-        "betti": hom.betti + [0] * pad,
-        "torsion": hom.torsion + [[] for _ in range(pad)],
+        **_padded_homology(chain_complex(small), len(s.labels)),
         "components": len(connected_components(s)) if s.size(0) else 0,
     }
 
 
-def _cc_report(cc) -> dict:
-    hom = homology(cc)
+def _abrams_report(a: AbramsComplex) -> dict:
+    """Report of Abrams' complex, computed as ``_report_of_complex`` computes
+    a model's: the full complex is checked by its cubical face identities
+    (which imply d^2 = 0), its homology is computed on its free-face
+    collapse, and f-vector and Euler characteristic are the full complex's.
+    """
+    a.validate_face_identities()
     return {
-        "fvector": list(cc.sizes),
-        "euler": cc.euler_characteristic(),
-        "betti": hom.betti,
-        "torsion": hom.torsion,
+        "fvector": list(a.fvector()),
+        "euler": a.euler_characteristic(),
+        **_padded_homology(cubical_chain_complex(free_face_collapse(a)), len(a.cells)),
     }
+
+
+def _padded_homology(cc, levels: int) -> dict:
+    """Betti numbers and torsion of ``cc``, padded with zeros up to
+    ``levels`` dimensions: a collapse can empty the top levels."""
+    hom = homology(cc)
+    pad = levels - len(hom.betti)
+    return {"betti": hom.betti + [0] * pad, "torsion": hom.torsion + [[] for _ in range(pad)]}
 
 
 def cmd_gen(args) -> dict:
@@ -193,10 +208,8 @@ def cmd_compare(args) -> dict:
         raise InputError("subdivision count must be >= 1")
     fine = gr.subdivide(g, n)
     conditions = check_abrams_conditions(fine, args.k)
-    away = abrams_complex(fine, args.k)
-    abrams_cc = cubical_chain_complex(away)
+    abrams_report = _abrams_report(abrams_complex(fine, args.k))
     model_report = _report_of_complex(model_complex(g, args.k, drop_leaves=args.remove_leaves))
-    abrams_report = _cc_report(abrams_cc)
     # the cross-check passes only on a subdivision where Abrams' complex is
     # homotopy-correct, and only if the whole homology agrees
     match = (

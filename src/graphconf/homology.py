@@ -1,8 +1,13 @@
 """Exact integer homology of chain complexes.
 
-Boundary matrices are assembled from semi-simplicial sets with the sign
-convention d = sum_i (-1)^i d_i, fixed once here and reused by the cubical
-and glued complexes.  Smith normal forms run in two phases: a sparse sweep
+Boundary matrices are assembled from face indices by
+``face_chain_complex``.  A semi-simplicial set's sign convention,
+d = sum_i (-1)^i d_i, is fixed once in ``chain_complex``; the glued
+complex of ``reduced`` follows it on edges (target minus source) and reads
+its 2-cell boundaries off their words.  The cube complex of ``abrams`` has
+its own: an n-cube's faces come in end pairs, and
+d = sum_p (-1)^(p-1) (d_p^+ - d_p^-) signs each pair by the number of edge
+factors before it.  Smith normal forms run in two phases: a sparse sweep
 that splits off unit pivots (which is almost all of a cellular boundary
 matrix), then a textbook reduction of the small remaining core over Python
 integers, so no intermediate value ever overflows.  The sweep takes its
@@ -18,15 +23,18 @@ with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and compress",
 cannot add to its image, so that column never reaches the sweep.  The
 argument that this is exact is in ``homology``'s docstring.
 
-A model's homology, as the CLI reports it, is computed on its free-face
-collapse (``nerve.collapse_free_faces``), which removes cells before any
-matrix is built.  That is exact over Z: a free face has one coface, so its
-row of the boundary holds a single +-1, a unit pivot whose elimination
-creates no fill, and removing the pair keeps every Betti number and
-torsion coefficient.  The full model is checked by its face identities
-d_i d_j = d_{j-1} d_i (``SemiSimplicialSet.validate_face_identities``),
-which imply d^2 = 0 for the signs above; ``ChainComplex`` checks d^2 = 0
-on the collapsed complex it is given.
+The homology of a model, and of an Abrams complex, as the CLI reports it,
+is computed on the free-face collapse (``nerve.collapse_free_faces``),
+which removes cells before any matrix is built.  That is exact over Z: a
+free face has one coface and occurs in it once, so its row of the
+boundary holds a single +-1, a unit pivot whose elimination creates no
+fill, and removing the pair keeps every Betti number and torsion
+coefficient.  The full complex is checked by its face identities:
+d_i d_j = d_{j-1} d_i for a model
+(``SemiSimplicialSet.validate_face_identities``), the cubical ones for an
+Abrams complex (``AbramsComplex.validate_face_identities``).  They imply
+d^2 = 0 for the signs above; ``ChainComplex`` checks d^2 = 0 on the
+collapsed complex it is given.
 """
 
 from dataclasses import dataclass
@@ -77,17 +85,24 @@ def _product_is_zero(a: dict, b: dict) -> bool:
 
 
 def chain_complex(s: SemiSimplicialSet) -> ChainComplex:
-    """Cellular chain complex of a semi-simplicial set."""
-    sizes = [len(level) for level in s.labels]
+    """Cellular chain complex of a semi-simplicial set, d = sum_i (-1)^i d_i."""
+    return face_chain_complex(s.labels, s.faces, lambda n: [(-1) ** i for i in range(n + 1)])
+
+
+def face_chain_complex(cells, faces, signs) -> ChainComplex:
+    """Chain complex of cells stored with face indices (``faces[n][c]``
+    indexes level n-1), whose boundary on level n is sum_i signs(n)[i] d_i,
+    d_i the i-th listed face."""
     boundaries = []
-    for n in range(1, len(sizes)):
+    for n in range(1, len(cells)):
         mat: dict[tuple[int, int], int] = {}
-        for j, fs in enumerate(s.faces[n]):
-            for i, f in enumerate(fs):
+        slot_signs = signs(n)
+        for j, fs in enumerate(faces[n]):
+            for f, sign in zip(fs, slot_signs):
                 key = (f, j)
-                mat[key] = mat.get(key, 0) + (-1) ** i
+                mat[key] = mat.get(key, 0) + sign
         boundaries.append({k: v for k, v in mat.items() if v})
-    return ChainComplex(sizes, boundaries)
+    return ChainComplex([len(level) for level in cells], boundaries)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -148,32 +148,47 @@ class SemiSimplicialSet:
         terms d_i d_j c and d_{j-1} d_i c (i < j) have signs (-1)^(i+j) and
         (-1)^(i+j-1) and cancel.
         """
-        if len(self.faces) != len(self.labels):
-            raise InternalError("face levels do not match chain levels")
-        for n in range(1, len(self.labels)):
-            level, below = self.faces[n], len(self.labels[n - 1])
-            if len(level) != len(self.labels[n]):
-                raise InternalError(f"face count does not match chain count at dim {n}")
-            if any(len(fs) != n + 1 for fs in level):
-                raise InternalError(f"a chain at dim {n} does not have {n + 1} faces")
-            flat = list(chain.from_iterable(level))
-            lo, hi = min(flat, default=0), max(flat, default=0)
-            if lo < 0 or hi >= below:
-                idx = flat.index(lo if lo < 0 else hi) // (n + 1)
-                raise InternalError(f"face index out of range at dim {n} chain {idx}")
-            if n == 1:
-                continue
-            lower = self.faces[n - 1]
-            # one (i, j) pair at a time over the whole level
-            for j in range(1, n + 1):
-                for i in range(j):
-                    left = [lower[fs[j]][i] for fs in level]
-                    right = [lower[fs[i]][j - 1] for fs in level]
-                    if left != right:
-                        idx = next(x for x, (a, b) in enumerate(zip(left, right)) if a != b)
-                        raise InternalError(
-                            f"face identity fails at dim {n} chain {idx} (i={i}, j={j})"
-                        )
+        validate_faces(self.labels, self.faces, lambda n: n + 1, _simplicial_identities)
+
+
+def _simplicial_identities(n: int) -> list:
+    """d_i d_j = d_{j-1} d_i (i < j) on n-chains, as ``validate_faces`` reads them."""
+    return [(j, i, i, j - 1) for j in range(1, n + 1) for i in range(j)]
+
+
+def validate_faces(cells, faces, arity, identities) -> None:
+    """Check a complex stored as face indices, one whole level at a time.
+
+    ``cells[n]`` lists the cells of level n and ``faces[n][c]`` the faces
+    of cell c as indices into level n-1.  Every cell of level n >= 1 must
+    have ``arity(n)`` faces, each in range.  For each (a, b, c, e) in
+    ``identities(n)`` and every cell of level n >= 2, face b of its face a
+    must equal face e of its face c.  Any failure raises ``InternalError``.
+    """
+    if len(faces) != len(cells):
+        raise InternalError("face levels do not match chain levels")
+    for n in range(1, len(cells)):
+        level, below, width = faces[n], len(cells[n - 1]), arity(n)
+        if len(level) != len(cells[n]):
+            raise InternalError(f"face count does not match chain count at dim {n}")
+        if any(len(fs) != width for fs in level):
+            raise InternalError(f"a chain at dim {n} does not have {width} faces")
+        flat = list(chain.from_iterable(level))
+        lo, hi = min(flat, default=0), max(flat, default=0)
+        if lo < 0 or hi >= below:
+            idx = flat.index(lo if lo < 0 else hi) // width
+            raise InternalError(f"face index out of range at dim {n} chain {idx}")
+        if n == 1:
+            continue  # level 0 has no faces
+        lower = faces[n - 1]
+        for a, b, c, e in identities(n):
+            left = [lower[fs[a]][b] for fs in level]
+            right = [lower[fs[c]][e] for fs in level]
+            if left != right:
+                idx = next(x for x, (u, v) in enumerate(zip(left, right)) if u != v)
+                raise InternalError(
+                    f"face identity fails at dim {n} chain {idx} (face {b} of face {a})"
+                )
 
 
 def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:
@@ -314,8 +329,12 @@ def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
     chains are removed; t is free exactly when its count is 1.  The counts
     are always current, so the scan removes the same pairs in the same
     order as recounting before every test would.
+
+    Neither the scan nor ``restrict`` reads how many faces a chain has, so
+    a cube complex stored the same way (``abrams.free_face_collapse``) collapses
+    here too.
     """
-    alive = [[True] * len(level) for level in s.labels]
+    alive =[[True] * len(level) for level in s.labels]
     # cofaces[n][t]: the (n+1)-chains having t as a face, once per incidence
     cofaces = [[[] for _ in level] for level in s.labels[:-1]]
     for n, level in enumerate(cofaces):

@@ -84,6 +84,25 @@ def test_compare_match_requires_conditions(capsys, tmp_path):
     assert report["match"] is False
 
 
+# W(3,1) k=3 subdivided 4 times, where the free-face collapse of the cube
+# complex empties its top two levels; euler is 3! times Gal's value -20
+W31_ABRAMS_3 = {
+    "betti": [1, 121, 0, 0],
+    "euler": -120,
+    "fvector": [3360, 8736, 7056, 1800],
+    "torsion": [[], [], [], []],
+}
+
+
+def test_compare_w31_abrams_report_pinned(capsys, tmp_path):
+    path = write_graph(capsys, tmp_path, "w", "-k", "3", "-l", "1")
+    code, out, err = run(capsys, "compare", "--graph", path, "-k", "3", "--subdivide", "4")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["abrams"] == W31_ABRAMS_3
+    assert report["match"] is True
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of module.name, also through every graphconf module
     that imported it by name."""
