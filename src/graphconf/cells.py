@@ -22,7 +22,7 @@ only the last may hit the plus end.
 ``faces_into`` is the one enumeration of the morphisms into a cell.  It
 names each source by its key ``(entries, blocks)``, which identifies a
 configuration cell, and builds no ``BraidCell``: the face category and the
-orbit nerve look keys up in an index of their cells.  ``morphisms_into`` is
+orbit category look keys up in an index of their cells.  ``morphisms_into`` is
 its cell-level view, sorted, for callers that want source cells.
 ``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
 data is the S_k action.

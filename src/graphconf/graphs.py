@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateId, InputError, OpenEdge, UnknownEdge, UnknownVertex
+from .nerve import min_roots
 
 
 class EdgeClass(Enum):
@@ -193,28 +194,12 @@ def essential_vertices(g: Graph) -> set[str]:
 
 def component_count(g: Graph) -> int:
     """Connected components of the underlying space (open edges included)."""
-    parent: dict[str, str] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in g.vertices:
-        parent["v:" + v] = "v:" + v
-    for e in g.edges:
-        parent["e:" + e.id] = "e:" + e.id
-    for e in g.edges:
-        for end in e.ends:
-            if end is not None:
-                union("e:" + e.id, "v:" + end)
-    return len({find(x) for x in parent})
+    vertex = {v: i for i, v in enumerate(g.vertices)}
+    first_edge = len(vertex)
+    pairs = [
+        (first_edge + j, vertex[end]) for j, e in enumerate(g.edges) for end in e.ends if end is not None
+    ]
+    return len(set(min_roots(first_edge + len(g.edges), pairs)))
 
 
 def is_connected(g: Graph) -> bool:

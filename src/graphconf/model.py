@@ -4,15 +4,16 @@ This is the glue the CLI and tests use: it builds the acyclic category of
 configuration cells, takes its nerve, and optionally removes leaves first
 or passes to the symmetric-group quotient.
 
-The unordered model is built directly as the nerve of the orbit category
-C/S_k: S_k acts freely on configuration cells, so nerve(C)/S_k is
-nerve(C/S_k), and no ordered nerve is built for it.  Each chain orbit is
-stored as its one lift whose bottom cell is the least cell of its orbit.
-Chains are ordered by their morphism tuples and morphisms by (source,
-target, datum), and the free action moves the bottom cell of every lift
-to a different cell, so that lift is the least member of the orbit: the
-one ``quotient_by_free_action`` keeps.  Labels, chain order and faces are
-therefore those of the quotient of the ordered nerve.
+The unordered model is the nerve of the orbit category C/S_k, which
+``build_nerve`` builds as it builds the ordered one: S_k acts freely on
+configuration cells, so nerve(C)/S_k is nerve(C/S_k), and no ordered nerve
+is built for it.  Each chain orbit is stored as its one lift whose bottom
+cell is the least cell of its orbit.  Chains are ordered by their morphism
+tuples and morphisms by (source, target, datum), and the free action moves
+the bottom cell of every lift to a different cell, so that lift is the
+least member of the orbit: the one ``quotient_by_free_action`` keeps.
+Labels, chain order and faces are therefore those of the quotient of the
+ordered nerve.
 """
 
 from dataclasses import dataclass
@@ -20,13 +21,7 @@ from itertools import permutations
 
 from . import cells as cl
 from . import graphs as gr
-from .nerve import (
-    AcyclicCategory,
-    SemiSimplicialSet,
-    arrow_label,
-    build_nerve,
-    chain_label,
-)
+from .nerve import AcyclicCategory, SemiSimplicialSet, arrow_label, build_nerve
 
 
 def face_category(objs: list) -> AcyclicCategory:
@@ -91,93 +86,91 @@ def symmetric_action(model: Model) -> list:
     return out
 
 
-def _inverse(sigma: tuple) -> tuple:
-    inv = [0] * len(sigma)
-    for j, s in enumerate(sigma):
-        inv[s] = j
-    return tuple(inv)
+class OrbitCategory:
+    """The orbit category C/S_k of the face category C on the configuration
+    cells ``objs`` (listed in canonical order), in ``build_nerve``'s view.
+
+    A cell is its index in ``objs``, a morphism its (source, target, datum)
+    triple.  The objects are the canonical cells (each the least of its
+    orbit), the arrows the lifts with a canonical source: ``faces_into`` of
+    canonical cells, moved by the permutation that makes their source
+    canonical.  ``after(m)`` is the sorted list of the arrows out of the
+    orbit of m's target t, moved to t, built the first time a chain reaches
+    t.  ``tail`` moves a chain to its lift with a canonical bottom cell.
+    """
+
+    def __init__(self, objs: list):
+        index = {(c.entries, c.blocks): i for i, c in enumerate(objs)}
+        self._canon = []  # [i]: index of the least cell of cell i's orbit
+        self._to_canon = []  # [i]: the permutation taking cell i to its canonical cell
+        self._lift = []  # [i]: its inverse (relocating 0..k-1 inverts)
+        self._members = {}  # (canonical index, rho) -> index of rho . canonical cell
+        for i, c in enumerate(objs):
+            sigma = cl.canonical_permutation(c)
+            image = cl.act_on_cell(sigma, c)
+            r = index[image.entries, image.blocks]
+            self._canon.append(r)
+            self._to_canon.append(sigma)
+            self._lift.append(cl.relocate(sigma, tuple(range(len(sigma)))))
+            self._members[r, self._lift[i]] = i
+        reps = [i for i, r in enumerate(self._canon) if i == r]
+        self._labels = [c.label() for c in objs]
+        self._position = {r: p for p, r in enumerate(reps)}
+        self.objects = [self._labels[r] for r in reps]
+        # _out[t]: after() of a morphism into cell t; a canonical cell's lift
+        # is the identity, so its list is the one of its orbit's lifts
+        self._out = {r: [] for r in reps}
+        for d in reps:
+            for key, data in cl.faces_into(objs[d]):
+                s = index[key]
+                m = self._move(self._to_canon[s], (s, d, data))
+                self._out[m[0]].append(m)
+        for ms in self._out.values():
+            ms.sort()
+        self.arrows = [m for r in reps for m in self._out[r]]
+
+    def _image(self, tau: tuple, i: int) -> int:
+        """Index of tau . cell i."""
+        return self._members[self._canon[i], tuple(tau[j] for j in self._lift[i])]
+
+    def _move(self, tau: tuple, m: tuple) -> tuple:
+        s, t, data = m
+        return (self._image(tau, s), self._image(tau, t), cl.relocate(tau, data))
+
+    def after(self, m: tuple) -> list:
+        t = m[1]
+        got = self._out.get(t)
+        if got is None:
+            lift = self._lift[t]
+            got = self._out[t] = sorted(self._move(lift, a) for a in self._out[self._canon[t]])
+        return got
+
+    def top_label(self, m: tuple) -> str:
+        return self._labels[m[1]]
+
+    def object_label(self, i: int) -> str:
+        return self.objects[i]
+
+    def morphism_label(self, m: tuple) -> str:
+        s, t, data = m
+        return arrow_label(self._labels[s], cl.data_label(data), self._labels[t])
+
+    def arrow_faces(self, m: tuple) -> tuple[int, int]:
+        s, t, _ = m
+        return (self._position[self._canon[t]], self._position[s])
+
+    def compose(self, m2: tuple, m1: tuple) -> tuple:
+        return (m1[0], m2[1], cl.compose_data(m2[2], m1[2]))
+
+    def tail(self, chain: tuple) -> tuple:
+        up = self._to_canon[chain[0][0]]
+        return tuple(self._move(up, m) for m in chain)
 
 
 def orbit_nerve(objs: list) -> SemiSimplicialSet:
     """The nerve of the face category on the configuration cells ``objs``
-    (listed in canonical order) divided by the free action of S_k, built as
-    the nerve of the orbit category.
-
-    A chain is a tuple of morphisms (source, target, datum), with cells
-    given by their index in ``objs``; each orbit is kept as its lift whose
-    bottom cell is canonical (the least of its orbit).  Morphisms out of a
-    canonical cell are found from ``faces_into`` of canonical cells
-    only, moved by the permutation that makes their source canonical, and
-    a chain ending at cell t is extended by those out of t's canonical
-    cell, moved back to t.  The face that drops the bottom morphism is
-    moved to its canonical lift; the others keep the bottom cell.
-    """
-    if not objs:
-        return SemiSimplicialSet([], [])
-    index = {(c.entries, c.blocks): i for i, c in enumerate(objs)}
-    canon = []  # canon[i]: index of the least cell of cell i's orbit
-    to_canon = []  # to_canon[i]: the permutation taking cell i to canon[i]
-    lift = []  # lift[i]: its inverse, taking canon[i] to cell i
-    members = {}  # (canonical index, rho) -> index of rho . canonical cell
-    for i, c in enumerate(objs):
-        sigma = cl.canonical_permutation(c)
-        image = cl.act_on_cell(sigma, c)
-        r = index[image.entries, image.blocks]
-        canon.append(r)
-        to_canon.append(sigma)
-        lift.append(_inverse(sigma))
-        members[r, lift[i]] = i
-
-    def image(tau, i):
-        """Index of tau . cell i."""
-        return members[canon[i], tuple(tau[j] for j in lift[i])]
-
-    def move(tau, m):
-        s, t, data = m
-        return (image(tau, s), image(tau, t), cl.relocate(tau, data))
-
-    reps = [i for i, r in enumerate(canon) if i == r]
-    out_of = {r: [] for r in reps}  # one morphism per orbit, from its canonical source
-    for d in reps:
-        for key, data in cl.faces_into(objs[d]):
-            s = index[key]
-            out_of[canon[s]].append(move(to_canon[s], (s, d, data)))
-
-    cell_labels = [c.label() for c in objs]
-    position = {r: p for p, r in enumerate(reps)}
-    labels = [[cell_labels[r] for r in reps]]
-    faces = [[]]
-    level = sorted((m,) for ms in out_of.values() for m in ms)
-    if level:
-        labels.append([
-            arrow_label(cell_labels[s], cl.data_label(d), cell_labels[t]) for ((s, t, d),) in level
-        ])
-        faces.append([(position[canon[t]], position[s]) for ((s, t, _),) in level])
-    while level:
-        lower = {ch: i for i, ch in enumerate(level)}
-        nxt = []
-        for ch in level:
-            t = ch[-1][1]
-            nxt.extend(ch + (move(lift[t], m),) for m in out_of[canon[t]])
-        if not nxt:
-            break
-        nxt.sort()
-        n = len(nxt[0])
-        new_faces = []
-        for ch in nxt:
-            up = to_canon[ch[1][0]]
-            row = [lower[tuple(move(up, m) for m in ch[1:])]]
-            for i in range(1, n):
-                (s, _, d1), (_, t, d2) = ch[i - 1], ch[i]
-                row.append(lower[ch[: i - 1] + ((s, t, cl.compose_data(d2, d1)),) + ch[i + 1:]])
-            row.append(lower[ch[:-1]])
-            new_faces.append(tuple(row))
-        labels.append([
-            chain_label([cell_labels[ch[0][0]]] + [cell_labels[t] for _, t, _ in ch]) for ch in nxt
-        ])
-        faces.append(new_faces)
-        level = nxt
-    return SemiSimplicialSet(labels, faces)
+    (listed in canonical order) divided by the free action of S_k."""
+    return build_nerve(OrbitCategory(objs))
 
 
 def model_complex(

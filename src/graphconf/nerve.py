@@ -7,7 +7,9 @@ nonidentity morphisms, middle faces are automatically nondegenerate.
 
 Chains are stored level by level with integer face indices into the level
 below, which makes boundary-matrix assembly a scan and keeps every
-downstream enumeration deterministic.  ``build_nerve`` produces each level
+downstream enumeration deterministic.  ``build_nerve`` is the one
+construction of chains: it builds the ordered model from the face category
+and the unordered model from the orbit category.  It produces each level
 in lexicographic order by extending the level below in order, so nothing
 is sorted; a chain's last face is the chain it extends, and its label is
 that chain's label plus its new top object.
@@ -47,6 +49,15 @@ class AcyclicCategory:
         for i, (s, _, _) in enumerate(self.morphisms):
             self.out_of[s].append(i)
         self._compose_cache: dict[tuple[int, int], int] = {}
+        # ``build_nerve``'s view, in which chains hold morphism indices and
+        # d_0 is the tail as it stands (``tuple`` returns a tuple itself).
+        # The nerve calls these per chain, so each is a C-level lookup.
+        labels = [self.object_label(i) for i in range(len(self.objects))]
+        self.arrows = range(len(self.morphisms))
+        self.arrow_faces = [(t, s) for s, t, _ in self.morphisms].__getitem__
+        self.after = [self.out_of[t] for _, t, _ in self.morphisms].__getitem__
+        self.top_label = [labels[t] for _, t, _ in self.morphisms].__getitem__
+        self.tail = tuple
 
     def compose(self, m2: int, m1: int) -> int:
         """Index of the composite of morphism m1 followed by m2."""
@@ -191,16 +202,23 @@ def validate_faces(cells, faces, arity, identities) -> None:
                 )
 
 
-def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:
-    """Semi-simplicial set of nondegenerate chains of the category.
+def build_nerve(cat) -> SemiSimplicialSet:
+    """Semi-simplicial set of nondegenerate chains of the category: an
+    ``AcyclicCategory`` or the orbit category ``model.OrbitCategory``.
 
-    Level n+1 is built by appending each outgoing morphism to each n-chain;
-    middle faces are composed through the category, which also serves as an
-    on-the-fly closure check of the composition law.
+    Level 0 is ``objects``, labelled by ``object_label(i)``.  Level 1 is
+    ``arrows``, each arrow as chains hold it, labelled by
+    ``morphism_label(a)``, with faces ``arrow_faces(a)`` (the positions of
+    d_0 and d_1 in level 0).  A chain ending in a is extended by each arrow
+    of ``after(a)``, and ``top_label(a)`` labels a's target.  A middle face
+    composes two arrows by ``compose(a2, a1)``, which also checks closure.
+    d_0 is ``tail`` of the chain without its first arrow: the identity for
+    an ``AcyclicCategory``, the lift with a canonical bottom cell for the
+    orbit category.
 
     Each level comes out in lexicographic order with no sort.  Level 1 is
-    the morphisms in index order.  If level n is ascending, its chains are
-    extended in that order, and each by the morphisms of an ``out_of`` list,
+    ``arrows``, which ascends.  If level n is ascending, its chains are
+    extended in that order, and each by the arrows of an ``after`` list,
     which ascends; two extensions of different parents compare as their
     parents do, so level n+1 ascends too.  The last face of an extension is
     the chain it extends, so its index is the parent's position, and its
@@ -213,33 +231,32 @@ def build_nerve(cat: AcyclicCategory) -> SemiSimplicialSet:
     faces = [[]]
     chains = [[(i,) for i in range(len(cat.objects))]]
 
-    # chains at level n >= 1: tuples of morphism indices (first arrow first)
-    level: list[tuple] = [(m,) for m in range(len(cat.morphisms))]
-    if level:
-        labels.append([cat.morphism_label(m) for (m,) in level])
-        faces.append([(t, s) for s, t, _ in cat.morphisms])
-        chains.append(level)
-    targets = [t for _, t, _ in cat.morphisms]
-    top_labels = [obj_labels[t] for t in targets]
+    # chains at level n >= 1: tuples of arrows (first arrow first)
+    after, top_label, compose, tail = cat.after, cat.top_label, cat.compose, cat.tail
+    level: list[tuple] = [(a,) for a in cat.arrows]
+    ends = [cat.arrow_faces(a) for (a,) in level]
     # paths[i]: the chain label of chain i's objects, bottom first
-    paths = [chain_label((obj_labels[s], obj_labels[t])) for s, t, _ in cat.morphisms]
+    paths = [chain_label((obj_labels[s], top_label(a))) for (a,), (_, s) in zip(level, ends)]
+    if level:
+        labels.append([cat.morphism_label(a) for (a,) in level])
+        faces.append(ends)
+        chains.append(level)
     index: dict[tuple, int] = {ch: i for i, ch in enumerate(level)}
-    out_of, compose = cat.out_of, cat.compose
 
     while level:
         nxt, new_faces, new_paths = [], [], []
         n = len(level[0]) + 1  # chain length at the new level
         for parent, ch in enumerate(level):
             path = paths[parent]
-            for m in out_of[targets[ch[-1]]]:
+            for m in after(ch[-1]):
                 new = ch + (m,)
-                row = [index[new[1:]]]
+                row = [index[tail(new[1:])]]
                 for i in range(1, n):
                     row.append(index[new[: i - 1] + (compose(new[i], new[i - 1]),) + new[i + 1:]])
                 row.append(parent)
                 nxt.append(new)
                 new_faces.append(tuple(row))
-                new_paths.append(chain_label((path, top_labels[m])))
+                new_paths.append(chain_label((path, top_label(m))))
         if not nxt:
             break
         labels.append(new_paths)

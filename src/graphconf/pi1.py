@@ -61,7 +61,10 @@ def skeleton(s) -> EdgeSkeleton:
 
 def spanning_tree(s) -> set:
     """Indices of 1-cells in a breadth-first tree from the least 0-cell."""
-    sk = skeleton(s)
+    return _spanning_tree(skeleton(s))
+
+
+def _spanning_tree(sk: EdgeSkeleton) -> set:
     if sk.vertex_count == 0:
         raise Disconnected("empty complex has no spanning tree")
     adj: dict[int, list] = {v: [] for v in range(sk.vertex_count)}
@@ -86,17 +89,14 @@ def spanning_tree(s) -> set:
 def presentation(s) -> Presentation:
     """Edge-path presentation of the fundamental group of the 2-skeleton."""
     sk = skeleton(s)
-    tree = spanning_tree(s)
-    gens = [sk.edges[i][0] for i in sorted(i for i in range(len(sk.edges)) if i not in tree)]
-    gen_of_edge = {}
-    for i in range(len(sk.edges)):
-        if i not in tree:
-            gen_of_edge[i] = sk.edges[i][0]
+    tree = _spanning_tree(sk)
+    # one generator per non-tree 1-cell, in index order
+    gen_of_edge = {i: label for i, (label, _, _) in enumerate(sk.edges) if i not in tree}
     relators = []
     for word in sk.words:
         rel = [(gen_of_edge[i], sign) for i, sign in word if i in gen_of_edge]
         relators.append(_free_reduce(rel))
-    return Presentation(gens, relators)
+    return Presentation(list(gen_of_edge.values()), relators)
 
 
 def _free_reduce(word: list) -> list:
@@ -207,5 +207,5 @@ def free_rank(s) -> int:
         raise NotOneDimensional("complex has 2-cells")
     if isinstance(s, SemiSimplicialSet) and s.dimensions > 2 and any(s.labels[2:]):
         raise NotOneDimensional("complex has chains above dimension 1")
-    spanning_tree(s)  # raises Disconnected if needed
+    _spanning_tree(sk)  # raises Disconnected if needed
     return 1 - (sk.vertex_count - len(sk.edges))

@@ -4,6 +4,7 @@ import pytest
 
 from graphconf import graphs as gr
 from graphconf.abrams import (
+    _orbit_rep,
     abrams_complex,
     check_abrams_conditions,
     cubical_chain_complex,
@@ -130,6 +131,24 @@ def test_quotient_k3_dd_zero_with_orientations():
     ordered = homology(cubical_chain_complex(a))
     unordered = homology(q)
     assert ordered.betti[0] == unordered.betti[0] == 1
+
+
+@pytest.mark.parametrize(
+    "cube, rep, sign",
+    [
+        # two edge factors out of order: sorting swaps them
+        ((("e", "b"), ("e", "a")), (("e", "a"), ("e", "b")), -1),
+        ((("v", "x"), ("e", "b"), ("e", "a")), (("e", "a"), ("e", "b"), ("v", "x")), -1),
+        # edge factors rotated as a 3-cycle, an even permutation
+        ((("e", "b"), ("e", "c"), ("e", "a")), (("e", "a"), ("e", "b"), ("e", "c")), 1),
+        ((("e", "c"), ("v", "x"), ("e", "a"), ("e", "b")),
+         (("e", "a"), ("e", "b"), ("e", "c"), ("v", "x")), 1),
+    ],
+    ids=["swap", "swap-past-vertex", "three-cycle", "three-cycle-past-vertex"],
+)
+def test_orbit_rep_orientation_sign(cube, rep, sign):
+    # the sign is the parity of the reordering of the edge factors alone
+    assert _orbit_rep(cube) == (rep, sign)
 
 
 def test_free_action_on_cubes():

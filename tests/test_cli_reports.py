@@ -132,6 +132,21 @@ def test_model_quotient_builds_no_ordered_model(capsys, tmp_path, monkeypatch, f
     assert counts == [[], [], []]
 
 
+@pytest.mark.parametrize(
+    "command, flags, builds",
+    [("model", ("--quotient",), 1), ("braidgroup", (), 2)],
+    ids=["model-quotient", "braidgroup"],
+)
+def test_one_chain_extension_loop(capsys, tmp_path, monkeypatch, command, flags, builds):
+    # the unordered model extends its chains through build_nerve, as the
+    # ordered one does; braidgroup builds both
+    path = write_graph(capsys, tmp_path, "theta")
+    calls = count_calls(monkeypatch, nerve, "build_nerve")
+    code, _, err = run(capsys, command, "--graph", path, "-k", "3", *flags)
+    assert code == 0, err
+    assert len(calls) == builds
+
+
 def test_braidgroup_enumerates_cells_once(capsys, tmp_path, monkeypatch):
     path = write_graph(capsys, tmp_path, "theta")
     calls = count_calls(monkeypatch, cells, "enumerate_braid_cells")

@@ -169,3 +169,55 @@ def test_json_round_trip():
 def test_json_open_end_is_null():
     data = gr.graph_to_json(gr.remove_leaves(gr.y_graph()))
     assert data["edges"][0]["ends"][1] is None
+
+
+def reference_component_count(g):
+    """Components by breadth-first search over vertices and edges, an edge
+    meeting the vertices its attached ends name."""
+    nodes = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
+    adjacent = {x: set() for x in nodes}
+    for e in g.edges:
+        for end in e.ends:
+            if end is not None:
+                adjacent["e", e.id].add(("v", end))
+                adjacent["v", end].add(("e", e.id))
+    seen, count = set(), 0
+    for x in nodes:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        todo = [x]
+        while todo:
+            for y in adjacent[todo.pop()] - seen:
+                seen.add(y)
+                todo.append(y)
+    return count
+
+
+@st.composite
+def open_multigraphs(draw):
+    """Up to four vertices and four edges; loops, parallel edges, open ends,
+    edges with no attached end and isolated vertices all occur."""
+    verts = [f"v{i}" for i in range(draw(st.integers(0, 4)))]
+    end = st.one_of(st.none(), st.sampled_from(verts)) if verts else st.none()
+    return gr.build_graph(verts, [(f"e{i}", draw(end), draw(end)) for i in range(draw(st.integers(0, 4)))])
+
+
+@given(open_multigraphs())
+def test_component_count_matches_search(g):
+    count = reference_component_count(g)
+    assert gr.component_count(g) == count
+    assert gr.is_connected(g) == (count == 1)
+    if g.is_closed():
+        assert gr.graph_betti(g) == (count, len(g.edges) - len(g.vertices) + count)
+
+
+def test_component_count_examples():
+    assert gr.component_count(gr.build_graph([], [])) == 0
+    assert not gr.is_connected(gr.build_graph([], []))
+    # an edge with no attached end is a component of its own
+    assert gr.component_count(gr.build_graph(["a"], [("e", None, None)])) == 2
+    assert gr.is_connected(gr.remove_leaves(gr.y_graph()))
+    assert gr.graph_betti(gr.theta_graph()) == (1, 2)
+    assert gr.graph_betti(gr.build_graph(["a", "b"], [("l", "a", "a")])) == (2, 1)

@@ -3,9 +3,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphconf import cells as cl
 from graphconf import graphs as gr
 from graphconf.homology import chain_complex, homology
-from graphconf.model import build_model, model_complex, symmetric_action
+from graphconf.model import OrbitCategory, build_model, model_complex, symmetric_action
 from graphconf.nerve import quotient_by_free_action
 
 
@@ -59,6 +60,23 @@ def assert_quotient_of_ordered(g, k):
 )
 def test_orbit_nerve_is_quotient_of_ordered_nerve(graph, k):
     assert_quotient_of_ordered(graph, k)
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [(gr.theta_graph(), 3), (k4(), 3), (xb(), 3), (k33(), 2)],
+    ids=["theta-3", "k4-3", "xb-3", "k33-2"],
+)
+def test_orbit_category_after_lists_ascend(graph, k):
+    # build_nerve's order argument needs every after() list ascending.
+    # Moving a canonical cell's list to another cell of its orbit reorders
+    # it for some cells (on these graphs, only cells no chain reaches).
+    objs = cl.configuration_cells(graph, k)
+    cat = OrbitCategory(objs)
+    for t in range(len(objs)):
+        arrows = cat.after((None, t, None))
+        assert arrows == sorted(arrows)
+        assert all(m[0] == t for m in arrows)
 
 
 @st.composite
