@@ -31,15 +31,20 @@ from .nerve import (
 )
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
+# family -> (builder, {parameter: (floor, limit)}); the builder takes the
+# parameters in this order, and one left out takes its floor
 _FAMILIES = {
-    "s1_min": (lambda a: gr.minimal_circle(), ()),
-    "s1_sd": (lambda a: gr.cycle_graph(a.n), ("n",)),
-    "y": (lambda a: gr.y_graph(), ()),
-    "w": (lambda a: gr.hub_graph(a.k, a.l), ("k", "l")),
-    "xb": (lambda a: gr.double_hub_graph(a.x, a.k, a.l, a.p, a.q), ("x", "k", "l", "p", "q")),
-    "path": (lambda a: gr.path_graph(a.n), ("n",)),
-    "theta": (lambda a: gr.theta_graph(), ()),
+    "s1_min": (gr.minimal_circle, {}),
+    "s1_sd": (gr.cycle_graph, {"n": (1, 6)}),
+    "y": (gr.y_graph, {}),
+    "w": (gr.hub_graph, {"k": (0, 4), "l": (0, 4)}),
+    "xb": (gr.double_hub_graph, {"x": (1, 3), "k": (0, 2), "l": (0, 2), "p": (0, 2), "q": (0, 2)}),
+    "path": (gr.path_graph, {"n": (1, 6)}),
+    "theta": (gr.theta_graph, {}),
 }
+# every family's parameters in first-use order (n, k, l, x, p, q), the order
+# in which ``gen`` lists them and refuses the ones a family does not use
+_GEN_PARAMS = list(dict.fromkeys(p for _, params in _FAMILIES.values() for p in params))
 
 # flag -> the commands that use it; any other command refuses it
 _FLAG_USERS = {
@@ -48,9 +53,6 @@ _FLAG_USERS = {
     "subdivide": ("compare",),
 }
 
-_GEN_LIMITS = {"n": 6, "k": 4, "l": 4, "x": 3, "p": 4, "q": 4}
-_XB_LIMITS = {"x": 3, "k": 2, "l": 2, "p": 2, "q": 2}
-
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="graphconf")
@@ -58,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="emit a graph from the shipped corpus")
     g.add_argument("family", choices=sorted(_FAMILIES))
-    for p in _GEN_LIMITS:  # None when not given: a family's parameter then takes its floor
+    for p in _GEN_PARAMS:  # None when not given
         g.add_argument(f"-{p}", type=int)
     g.add_argument("--out")
 
@@ -137,18 +139,16 @@ def _padded_homology(cc, levels: int) -> dict:
 
 def cmd_gen(args) -> dict:
     make, params = _FAMILIES[args.family]
-    for p in _GEN_LIMITS:
+    for p in _GEN_PARAMS:
         if p not in params and getattr(args, p) is not None:
             raise InputError(f"-{p} is not a parameter of the {args.family} family")
-    for p in params:
-        limit = _XB_LIMITS[p] if args.family == "xb" else _GEN_LIMITS[p]
-        floor = 1 if p in ("n", "x") else 0
-        if getattr(args, p) is None:
-            setattr(args, p, floor)
-        value = getattr(args, p)
+    values = []
+    for p, (floor, limit) in params.items():
+        value = floor if getattr(args, p) is None else getattr(args, p)
         if not floor <= value <= limit:
             raise InputError(f"parameter -{p} must be in [{floor}, {limit}] for {args.family}")
-    return gr.graph_to_json(make(args))
+        values.append(value)
+    return gr.graph_to_json(make(*values))
 
 
 def _load(path: str) -> gr.Graph:
@@ -265,10 +265,16 @@ def main(argv=None) -> int:
     try:
         _refuse_unused_flags(args)
         report = handlers[args.command](args)
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+        else:
+            try:
+                print(text, end="", flush=True)  # prints nothing when there is no stdout
+            except OSError:
+                sys.stdout.close()  # even if its flush fails, so exit does not flush again
+                raise
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -278,8 +284,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    if not args.out:
-        print(text)
     return 0
 
 

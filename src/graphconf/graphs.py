@@ -173,23 +173,13 @@ def subdivide(g: Graph, n: int) -> Graph:
 def essential_vertices(g: Graph) -> set[str]:
     """Vertices that are neither leaves nor plain through-vertices.
 
-    A through-vertex meets exactly two distinct non-loop edges and no loop;
-    everything else of valency != 1 is essential.
+    A through-vertex has valency 2 and no loop, so it meets exactly two
+    distinct non-loop edges; everything else of valency != 1 is essential.
     """
-    out = set()
-    for v in g.vertices:
-        val = valency(g, v)
-        if val == 1:
-            continue
-        nonloop = sum(
-            (e.end_minus == v) + (e.end_plus == v)
-            for e in g.edges
-            if not (e.end_minus == v and e.end_plus == v)
-        )
-        if loops_at(g, v) == 0 and nonloop == 2:
-            continue
-        out.add(v)
-    return out
+    return {
+        v for v in g.vertices
+        if (val := valency(g, v)) != 1 and not (val == 2 and loops_at(g, v) == 0)
+    }
 
 
 def component_count(g: Graph) -> int:

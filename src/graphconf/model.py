@@ -61,15 +61,16 @@ def symmetric_action(model: Model) -> list:
     coordinate permutation, in the format quotient_by_free_action expects.
 
     Only cells are acted on; a morphism (s, t, data) goes to the stored
-    morphism (obj_map[s], obj_map[t], data relocated by sigma), and a chain
-    of the nerve to the chain of the images of its morphisms.
+    morphism (obj_map[s], obj_map[t], data relocated by sigma).  Above
+    level 1, a chain goes to the chain whose faces are the images of its
+    faces: an automorphism commutes with the d_i, and a chain of length
+    n >= 2 is the only one with its faces.
     """
-    cat = model.category
-    chains = model.complex.meta["chains"]
+    cat, faces = model.category, model.complex.faces
     cell_index = {c: i for i, c in enumerate(model.cells)}
     # level 0 holds objects and level 1 single morphisms in index order, so
     # only the longer chains need a position table
-    positions = [{ch: i for i, ch in enumerate(level)} for level in chains[2:]]
+    positions = [{fs: i for i, fs in enumerate(level)} for level in faces[2:]]
     out = []
     for sigma in sorted(permutations(range(model.k))):
         if sigma == tuple(range(model.k)):
@@ -79,9 +80,10 @@ def symmetric_action(model: Model) -> list:
             cat.morphism_index[(obj_map[s], obj_map[t], cl.relocate(sigma, data))]
             for s, t, data in cat.morphisms
         ]
-        maps = [obj_map, mor_map][: len(chains)]
-        for level, position in zip(chains[2:], positions):
-            maps.append([position[tuple(mor_map[m] for m in ch)] for ch in level])
+        maps = [obj_map, mor_map][: len(faces)]
+        for level, position in zip(faces[2:], positions):
+            below = maps[-1]
+            maps.append([position[tuple(below[f] for f in fs)] for fs in level])
         out.append(maps)
     return out
 

@@ -5,9 +5,12 @@ operators drop the outer morphisms and compose adjacent inner ones.  Since
 every category here carries a rank that strictly increases along
 nonidentity morphisms, middle faces are automatically nondegenerate.
 
-Chains are stored level by level with integer face indices into the level
-below, which makes boundary-matrix assembly a scan and keeps every
-downstream enumeration deterministic.  ``build_nerve`` is the one
+A complex is its labels and its faces: level by level, each chain has a
+label and a tuple of integer face indices into the level below, which makes
+boundary-matrix assembly a scan and keeps every downstream enumeration
+deterministic.  Level 1 lists the arrows in order, and a chain of length
+n >= 2 is fixed by d_0 (its tail) and d_n (its head), so no arrow tuple is
+stored.  ``build_nerve`` is the one
 construction of chains: it builds the ordered model from the face category
 and the unordered model from the orbit category.  It produces each level
 in lexicographic order by extending the level below in order, so nothing
@@ -15,7 +18,7 @@ is sorted; a chain's last face is the chain it extends, and its label is
 that chain's label plus its new top object.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .errors import EmptyComplex, InternalError, InvalidCategory, NonComposable, NonFreeAction
@@ -97,7 +100,8 @@ def chain_label(objects) -> str:
 
 @dataclass
 class SemiSimplicialSet:
-    """Nondegenerate chains per dimension with explicit face indices."""
+    """Nondegenerate chains per dimension: their labels and face indices,
+    the only record of a chain (a nerve's chains are fixed by d_0 and d_n)."""
 
     # labels[n][i]: name of chain i in dimension n.  At levels 0 and 1 a
     # label is a unique id (a cell, or an arrow with its datum).  Above, it
@@ -106,7 +110,6 @@ class SemiSimplicialSet:
     # level-2 chains whose label an earlier chain already has.
     labels: list
     faces: list  # faces[n][i]: tuple of n+1 indices into dimension n-1 (n >= 1)
-    meta: dict = field(default_factory=dict)
 
     @property
     def dimensions(self) -> int:
@@ -225,13 +228,12 @@ def build_nerve(cat) -> SemiSimplicialSet:
     label is the parent's object-chain label plus the new top object.
     """
     if not cat.objects:
-        return SemiSimplicialSet([], [], {"chains": []})
+        return SemiSimplicialSet([], [])
     obj_labels = [cat.object_label(i) for i in range(len(cat.objects))]
     labels = [obj_labels]
     faces = [[]]
-    chains = [[(i,) for i in range(len(cat.objects))]]
 
-    # chains at level n >= 1: tuples of arrows (first arrow first)
+    # only the level being extended is held as tuples of arrows (first arrow first)
     after, top_label, compose, tail = cat.after, cat.top_label, cat.compose, cat.tail
     level: list[tuple] = [(a,) for a in cat.arrows]
     ends = [cat.arrow_faces(a) for (a,) in level]
@@ -240,7 +242,6 @@ def build_nerve(cat) -> SemiSimplicialSet:
     if level:
         labels.append([cat.morphism_label(a) for (a,) in level])
         faces.append(ends)
-        chains.append(level)
     index: dict[tuple, int] = {ch: i for i, ch in enumerate(level)}
 
     while level:
@@ -261,10 +262,9 @@ def build_nerve(cat) -> SemiSimplicialSet:
             break
         labels.append(new_paths)
         faces.append(new_faces)
-        chains.append(nxt)
         level, paths = nxt, new_paths
         index = {ch: i for i, ch in enumerate(nxt)}
-    return SemiSimplicialSet(labels, faces, {"chains": chains})
+    return SemiSimplicialSet(labels, faces)
 
 
 def dimension(s: SemiSimplicialSet) -> int:

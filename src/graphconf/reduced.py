@@ -42,7 +42,7 @@ from .pi1 import skeleton
 
 @dataclass(frozen=True)
 class TwoCellType:
-    tag: str  # LL_same, LL_distinct, LB, LC, BB_same, BB_distinct, BC, CC_same, CC_distinct
+    tag: str  # LL_same, LL_distinct, BL, CL, BB_same, BB_distinct, BC, CC_same, CC_distinct
     shared_vertices: int
 
 
@@ -162,14 +162,14 @@ def build_reduced(g: Graph) -> GluedComplex:
     s = model.complex
     if s.size(0) == 0:
         raise EmptyComplex("no two-point configuration fits the graph")
-    cat = model.category
-    keep = []
-    for n, level in enumerate(s.meta["chains"]):
-        keep.append([])
-        for i, ch in enumerate(level):
-            _, top, data = cat.morphisms[ch[-1]] if n else (None, ch[0], None)
-            if _keep_chain(g, model.cells[top], n, data):
-                keep[-1].append(i)
+    arrows = model.category.morphisms
+    keep = [[i for i, cell in enumerate(model.cells) if _keep_chain(g, cell, 0, None)]]
+    last = range(s.size(1))  # last[i]: the last arrow of chain i, which d_0 keeps
+    for n in range(1, s.dimensions):
+        if n > 1:
+            last = [last[fs[0]] for fs in s.faces[n]]
+        tops = ((model.cells[arrows[m][1]], arrows[m][2]) for m in last)  # (top cell, last datum)
+        keep.append([i for i, (top, data) in enumerate(tops) if _keep_chain(g, top, n, data)])
     sub = s.restrict(keep)
     kept = keep[: sub.dimensions]
 
@@ -211,9 +211,10 @@ def glued_chain_complex(c: GluedComplex) -> ChainComplex:
         for v, s in ((dst, 1), (src, -1)):
             key = (vpos[v], j)
             d1[key] = d1.get(key, 0) + s
+    ends = {eid: (src, dst) for eid, src, dst in c.edges}
     d2: dict[tuple[int, int], int] = {}
     for j, (_, word) in enumerate(c.faces2):
-        _require_closed_walk(c, word)
+        _require_closed_walk(ends, word)
         for eid, sign in word:
             key = (epos[eid], j)
             d2[key] = d2.get(key, 0) + sign
@@ -228,14 +229,12 @@ def glued_chain_complex(c: GluedComplex) -> ChainComplex:
     return ChainComplex(sizes, boundaries)
 
 
-def _require_closed_walk(c: GluedComplex, word) -> None:
-    ends = {e[0]: (e[1], e[2]) for e in c.edges}
+def _require_closed_walk(ends: dict, word) -> None:
+    """``ends``: edge id -> (source, target).  The words are the program's,
+    not input, so an empty or open one is an ``InternalError``."""
     if not word:
-        raise ValueError("empty boundary word")
-    walk = []
-    for eid, sign in word:
-        src, dst = ends[eid]
-        walk.append((src, dst) if sign == 1 else (dst, src))
+        raise InternalError("empty boundary word")
+    walk = [ends[eid] if sign == 1 else ends[eid][::-1] for eid, sign in word]
     for (_, stop), (start, _) in zip(walk, walk[1:] + walk[:1]):
         if stop != start:
-            raise ValueError("boundary word is not a closed walk")
+            raise InternalError("boundary word is not a closed walk")
