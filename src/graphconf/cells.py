@@ -21,11 +21,12 @@ only the last may hit the plus end.
 
 ``faces_into`` is the one enumeration of the morphisms into a cell.  It
 names each source by its key ``(entries, blocks)``, which identifies a
-configuration cell, and builds no ``BraidCell``: the face category and the
-orbit category look keys up in an index of their cells.  ``morphisms_into`` is
-its cell-level view, sorted, for callers that want source cells.
-``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
-data is the S_k action.
+configuration cell, and builds no ``BraidCell``: the face category looks
+keys up in an index of its cells, and the orbit category canonicalises
+them.  ``morphisms_into`` is its cell-level view, sorted, for callers that
+want source cells.  ``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
+data is the S_k action.  ``canonical_order`` names the least cell of a
+cell's orbit and the permutation between them without acting on a cell.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +55,7 @@ def compose_data(d2: tuple, d1: tuple) -> tuple:
 
 
 def data_label(data: tuple) -> str:
-    return "".join(_DATA_SYMBOL[d] for d in data)
+    return "".join(map(_DATA_SYMBOL.__getitem__, data))
 
 
 def relocate(sigma: tuple[int, ...], seq: tuple) -> tuple:
@@ -92,22 +93,13 @@ class BraidCell:
     def dimension(self) -> int:
         return sum(len(part) for _, part in self.blocks)
 
-    def edge_order(self, edge_id: str) -> tuple:
-        for eid, part in self.blocks:
-            if eid == edge_id:
-                return part
-        raise KeyError(edge_id)
-
     def label(self) -> str:
-        parts = []
-        for i, entry in enumerate(self.entries):
-            if entry[0] == "v":
-                parts.append(entry[1])
-            else:
-                pos = next(
-                    j for j, blk in enumerate(self.edge_order(entry[1])) if i in blk
-                )
-                parts.append(f"{entry[1]}#{pos}")
+        # along[i]: the position, in its edge's order, of coordinate i's block
+        along = {i: pos for _, part in self.blocks for pos, blk in enumerate(part) for i in blk}
+        parts = [
+            entry[1] if entry[0] == "v" else f"{entry[1]}#{along[i]}"
+            for i, entry in enumerate(self.entries)
+        ]
         return "(" + ",".join(parts) + ")"
 
 
@@ -130,30 +122,36 @@ def ordered_partitions(items: tuple):
                 yield sub[:pos] + (block,) + sub[pos:]
 
 
-def _make_cell(g: Graph, entries, parts_by_edge) -> BraidCell:
-    blocks = tuple(sorted((eid, part) for eid, part in parts_by_edge.items()))
-    return BraidCell(len(entries), tuple(entries), blocks, g)
-
-
 def enumerate_braid_cells(g: Graph, k: int) -> list[BraidCell]:
-    """Every braid cell of the k-fold product, in lexicographic order."""
+    """Every braid cell of the k-fold product, in ``sort_key`` order.
+
+    The cells are not sorted as a whole.  The symbols are listed by
+    ``_entry_key``, so ``product`` yields the entry
+    tuples in ``sort_key`` order, and only the cells of one entry tuple
+    remain to be ordered, by ``blocks``.  Their edge groups come in
+    ascending edge id, and each group's ordered partitions are sorted once
+    per coordinate tuple, so ``product`` of the groups' choices yields the
+    blocks in ascending order too.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     symbols = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
     symbols.sort(key=_entry_key)
+    partitions: dict[tuple, list] = {}  # coordinate tuple -> its ordered partitions, sorted
     cells = []
     for entries in product(symbols, repeat=k):
         groups: dict[str, list[int]] = {}
         for i, entry in enumerate(entries):
             if entry[0] == "e":
                 groups.setdefault(entry[1], []).append(i)
-        choices = [
-            [(eid, part) for part in ordered_partitions(tuple(coords))]
-            for eid, coords in sorted(groups.items())
-        ]
-        for combo in product(*choices):
-            cells.append(_make_cell(g, entries, dict(combo)))
-    cells.sort(key=BraidCell.sort_key)
+        choices = []
+        for eid, coords in sorted(groups.items()):
+            coords = tuple(coords)
+            parts = partitions.get(coords)
+            if parts is None:
+                parts = partitions[coords] = sorted(ordered_partitions(coords))
+            choices.append([(eid, part) for part in parts])
+        cells.extend(BraidCell(k, entries, blocks, g) for blocks in product(*choices))
     return cells
 
 
@@ -164,11 +162,9 @@ def in_discriminant(c: BraidCell) -> bool:
     from it: a block of size >= 2 pins two coordinates together on an edge,
     and two equal vertex entries pin them at a vertex.
     """
-    for _, part in c.blocks:
-        if any(len(b) > 1 for b in part):
-            return True
     verts = [x[1] for x in c.entries if x[0] == "v"]
-    return len(set(verts)) != len(verts)
+    # every block is a singleton exactly when each edge coordinate has its own
+    return c.dimension != c.k - len(verts) or len(set(verts)) != len(verts)
 
 
 def configuration_cells(g: Graph, k: int) -> list[BraidCell]:
@@ -200,18 +196,23 @@ def faces_into(d: BraidCell):
     for eid, part in d.blocks:
         edge = g.edge(eid)
         first, last = part[0][0], part[-1][0]  # configuration cells: singleton blocks
-        options = [()]  # each option: (coordinate, end, vertex) moves
+        # each option: its (coordinate, end, vertex) moves and the group's
+        # block in the source, which loses the moved ends of the order
+        options = [((), (eid, part))]
         if edge.end_minus is not None:
-            options.append(((first, END_MINUS, edge.end_minus),))
+            options.append((((first, END_MINUS, edge.end_minus),), (eid, part[1:])))
         if edge.end_plus is not None:
             if len(part) > 1:
-                options += [opt + ((last, END_PLUS, edge.end_plus),) for opt in options]
+                options += [
+                    (moves + ((last, END_PLUS, edge.end_plus),), (eid, kept[:-1]))
+                    for moves, (_, kept) in options
+                ]
             else:
-                options.append(((first, END_PLUS, edge.end_plus),))
+                options.append((((first, END_PLUS, edge.end_plus),), (eid, ())))
         per_group.append(options)
 
     for combo in product(*per_group):
-        moves = [move for group in combo for move in group]
+        moves = [move for group, _ in combo for move in group]
         if not moves:
             continue  # identity
         landed = [v for _, _, v in moves]
@@ -222,12 +223,8 @@ def faces_into(d: BraidCell):
         for i, eps, v in moves:
             entries[i] = ("v", v)
             data[i] = eps
-        blocks = []
-        for eid, part in d.blocks:
-            kept = tuple(b for b in part if data[b[0]] == INTERIOR)
-            if kept:
-                blocks.append((eid, kept))
-        yield (tuple(entries), tuple(blocks)), tuple(data)
+        blocks = tuple(block for _, block in combo if block[1])
+        yield (tuple(entries), blocks), tuple(data)
 
 
 def morphisms_into(d: BraidCell) -> list[tuple]:
@@ -250,26 +247,30 @@ def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
     entry_{sigma^-1(i)}, and block members are relabeled by sigma."""
     if len(sigma) != c.k:
         raise WrongDegree("permutation degree differs from k")
-    entries = relocate(sigma, c.entries)
-    parts = {}
-    for eid, part in c.blocks:
-        parts[eid] = tuple(tuple(sorted(sigma[j] for j in blk)) for blk in part)
-    return _make_cell(c.graph, entries, parts)
+    # relabelling keeps each block with its edge, so the blocks stay in edge order
+    blocks = tuple(
+        (eid, tuple(tuple(sorted(sigma[j] for j in blk)) for blk in part)) for eid, part in c.blocks
+    )
+    return BraidCell(c.k, relocate(sigma, c.entries), blocks, c.graph)
 
 
-def canonical_permutation(c: BraidCell) -> tuple[int, ...]:
-    """The permutation sigma for which act_on_cell(sigma, c) is the least
-    cell of the configuration cell c's orbit under coordinate permutations.
+def canonical_order(entries: tuple, blocks: tuple) -> tuple[int, ...]:
+    """The coordinates of the configuration cell ``(entries, blocks)``
+    ranked by (entry key, position along the edge).
 
-    The least cell lists its entries in ascending order, and the
-    coordinates sharing an edge take the positions of their entry in the
-    order they run along the edge, since that makes every edge's block
-    order ascending.  So coordinate j goes to its rank under (entry key,
-    position along the edge).
+    Sending coordinate j to its rank (the permutation sigma) takes the cell
+    to the least cell of its orbit under coordinate permutations: that
+    cell lists its entries in ascending order, and the coordinates sharing
+    an edge take the positions of their entry in the order they run along
+    the edge, since that makes every edge's block order ascending.  So the
+    least cell is fixed by its sorted entries, ``entries[j]`` for j in this
+    order, and it is the one cell of the orbit whose order is the identity.
+    The order itself is sigma's inverse, which takes the least cell to this
+    one (``relocate`` by it).
+
+    Vertex entries rank first and are distinct, so they are sorted by id.
+    The edge coordinates follow in block order: the blocks list the edges
+    in ascending id and each edge's coordinates in the order along it.
     """
-    along = {blk[0]: pos for _, part in c.blocks for pos, blk in enumerate(part)}
-    order = sorted(range(c.k), key=lambda j: (_entry_key(c.entries[j]), along.get(j, 0)))
-    sigma = [0] * c.k
-    for rank, j in enumerate(order):
-        sigma[j] = rank
-    return tuple(sigma)
+    verts = sorted([(x[1], j) for j, x in enumerate(entries) if x[0] == "v"])
+    return tuple([j for _, j in verts] + [blk[0] for _, part in blocks for blk in part])

@@ -270,8 +270,10 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
+            if sys.stdout is None:  # started with fd 1 closed, where print writes nothing
+                raise OSError("no standard output to write the report to")
             try:
-                print(text, end="", flush=True)  # prints nothing when there is no stdout
+                print(text, end="", flush=True)
             except OSError:
                 sys.stdout.close()  # even if its flush fails, so exit does not flush again
                 raise

@@ -18,6 +18,7 @@ ordered nerve.
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from . import cells as cl
 from . import graphs as gr
@@ -98,54 +99,99 @@ class OrbitCategory:
     canonical cells, moved by the permutation that makes their source
     canonical.  ``after(m)`` is the sorted list of the arrows out of the
     orbit of m's target t, moved to t, built the first time a chain reaches
-    t.  ``tail`` moves a chain to its lift with a canonical bottom cell.
+    t.  Chains are the lifts with a canonical bottom cell.
+
+    Each cell is canonicalised from its own entries and blocks
+    (``cells.canonical_order``): the order is the lift that takes the least
+    cell of the orbit to it, and that least cell is the one whose order is
+    the identity, keyed by its sorted entries.  No cell is acted on and
+    none is looked up by its entries and blocks.
+
+    The after() lists of one orbit are reorderings of its canonical cell's
+    list, so each arrow keeps its position in that list (its id) when it
+    moves.  ``shift`` reads through the ids where the arrows after a chain
+    sit in the list at the end of the chain's d_0, which the nerve holds as
+    its lift with a canonical bottom cell.
     """
 
     def __init__(self, objs: list):
-        index = {(c.entries, c.blocks): i for i, c in enumerate(objs)}
+        canon_of = {}  # sorted entries -> index of the canonical cell listing them
         self._canon = []  # [i]: index of the least cell of cell i's orbit
-        self._to_canon = []  # [i]: the permutation taking cell i to its canonical cell
-        self._lift = []  # [i]: its inverse (relocating 0..k-1 inverts)
+        self._lift = []  # [i]: the permutation taking that cell to cell i
         self._members = {}  # (canonical index, rho) -> index of rho . canonical cell
+        identity = tuple(range(objs[0].k)) if objs else ()
         for i, c in enumerate(objs):
-            sigma = cl.canonical_permutation(c)
-            image = cl.act_on_cell(sigma, c)
-            r = index[image.entries, image.blocks]
+            lift, key = _least(c.entries, c.blocks)
+            if lift == identity:  # the least cell of its orbit, met first as objs ascend
+                canon_of[key] = i
+            r = canon_of[key]
             self._canon.append(r)
-            self._to_canon.append(sigma)
-            self._lift.append(cl.relocate(sigma, tuple(range(len(sigma)))))
-            self._members[r, self._lift[i]] = i
-        reps = [i for i, r in enumerate(self._canon) if i == r]
+            self._lift.append(lift)
+            self._members[r, lift] = i
+        reps = list(canon_of.values())
         self._labels = [c.label() for c in objs]
         self._position = {r: p for p, r in enumerate(reps)}
         self.objects = [self._labels[r] for r in reps]
-        # _out[t]: after() of a morphism into cell t; a canonical cell's lift
-        # is the identity, so its list is the one of its orbit's lifts
+        self.object_cells = reps
+        # _out[t]: after() of a morphism into cell t, which lists the arrows
+        # out of t's canonical cell moved to t; _ids[t][j]: the position in
+        # that canonical list of arrow j, and _slots[t] its inverse.  A
+        # canonical cell's lift is the identity, so its list is the one of
+        # its orbit's lifts and its ids ascend.
         self._out = {r: [] for r in reps}
+        self._ids, self._slots = {}, {}
+        self._place = {}  # arrow -> its position in the after() list of its source
         for d in reps:
-            for key, data in cl.faces_into(objs[d]):
-                s = index[key]
-                m = self._move(self._to_canon[s], (s, d, data))
+            for (entries, blocks), data in cl.faces_into(objs[d]):
+                # move the arrow by sigma, which takes its source to the
+                # least cell: d goes to its member sigma . d
+                lift, key = _least(entries, blocks)
+                sigma = tuple(sorted(range(len(lift)), key=lift.__getitem__))
+                m = (canon_of[key], self._members[d, sigma], cl.relocate(sigma, data))
                 self._out[m[0]].append(m)
-        for ms in self._out.values():
-            ms.sort()
+        for r in reps:
+            arrows = sorted(self._out[r])
+            self._listed(r, arrows, range(len(arrows)))
         self.arrows = [m for r in reps for m in self._out[r]]
+        self.position = self._place.__getitem__
+        self.target = itemgetter(1)
 
-    def _image(self, tau: tuple, i: int) -> int:
-        """Index of tau . cell i."""
-        return self._members[self._canon[i], tuple(tau[j] for j in self._lift[i])]
+    def _listed(self, t: int, arrows: list, ids) -> list:
+        """Record ``arrows`` as cell t's after() list, with their positions
+        and their ``ids`` in the canonical cell's list."""
+        self._out[t] = arrows
+        self._ids[t] = ids
+        slots = self._slots[t] = [0] * len(ids)
+        for j, (q, m) in enumerate(zip(ids, arrows)):
+            self._place[m] = j
+            slots[q] = j
+        return arrows
 
-    def _move(self, tau: tuple, m: tuple) -> tuple:
-        s, t, data = m
-        return (self._image(tau, s), self._image(tau, t), cl.relocate(tau, data))
-
-    def after(self, m: tuple) -> list:
-        t = m[1]
+    def _after_cell(self, t: int) -> list:
         got = self._out.get(t)
         if got is None:
-            lift = self._lift[t]
-            got = self._out[t] = sorted(self._move(lift, a) for a in self._out[self._canon[t]])
+            lift, members, canon = self._lift[t], self._members, self._canon
+            # the arrows out of the canonical cell, moved by its lift to t
+            moved = [
+                (t, members[canon[u], tuple(map(lift.__getitem__, self._lift[u]))],
+                 cl.relocate(lift, data))
+                for _, u, data in self._out[canon[t]]
+            ]
+            ids = sorted(range(len(moved)), key=moved.__getitem__)
+            got = self._listed(t, [moved[q] for q in ids], ids)
         return got
+
+    def after(self, m: tuple) -> list:
+        return self._after_cell(m[1])
+
+    def shift(self, t: int, e: int) -> list:
+        """[j]: the position in cell e's after() list of arrow j of cell t's,
+        moved to e (by the one permutation taking t to e): both lists are
+        the moves of one canonical list, so it keeps its id there."""
+        self._after_cell(t)
+        self._after_cell(e)
+        slots = self._slots[e]
+        return [slots[q] for q in self._ids[t]]
 
     def top_label(self, m: tuple) -> str:
         return self._labels[m[1]]
@@ -164,9 +210,13 @@ class OrbitCategory:
     def compose(self, m2: tuple, m1: tuple) -> tuple:
         return (m1[0], m2[1], cl.compose_data(m2[2], m1[2]))
 
-    def tail(self, chain: tuple) -> tuple:
-        up = self._to_canon[chain[0][0]]
-        return tuple(self._move(up, m) for m in chain)
+
+def _least(entries: tuple, blocks: tuple) -> tuple:
+    """(lift, key) of the configuration cell ``(entries, blocks)``: the
+    permutation taking the least cell of its orbit to it, and that cell's
+    key, its sorted entries (``cells.canonical_order``)."""
+    lift = cl.canonical_order(entries, blocks)
+    return lift, tuple(map(entries.__getitem__, lift))
 
 
 def orbit_nerve(objs: list) -> SemiSimplicialSet:

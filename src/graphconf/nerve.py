@@ -10,16 +10,18 @@ label and a tuple of integer face indices into the level below, which makes
 boundary-matrix assembly a scan and keeps every downstream enumeration
 deterministic.  Level 1 lists the arrows in order, and a chain of length
 n >= 2 is fixed by d_0 (its tail) and d_n (its head), so no arrow tuple is
-stored.  ``build_nerve`` is the one
-construction of chains: it builds the ordered model from the face category
-and the unordered model from the orbit category.  It produces each level
-in lexicographic order by extending the level below in order, so nothing
-is sorted; a chain's last face is the chain it extends, and its label is
-that chain's label plus its new top object.
+stored.  ``build_nerve`` is the one construction of chains: it builds the
+ordered model from the face category and the unordered model from the
+orbit category.  It produces each level in lexicographic order by
+extending the level below in order, so nothing is sorted and the children
+of a chain are consecutive.  So every face of a new chain is found by
+arithmetic on its parent's faces and a position in an arrow list, with no
+lookup of a chain by its arrows; a chain's last face is the chain it
+extends, and its label is that chain's label plus its new top object.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import EmptyComplex, InternalError, InvalidCategory, NonComposable, NonFreeAction
 
@@ -52,15 +54,25 @@ class AcyclicCategory:
         for i, (s, _, _) in enumerate(self.morphisms):
             self.out_of[s].append(i)
         self._compose_cache: dict[tuple[int, int], int] = {}
-        # ``build_nerve``'s view, in which chains hold morphism indices and
-        # d_0 is the tail as it stands (``tuple`` returns a tuple itself).
-        # The nerve calls these per chain, so each is a C-level lookup.
-        labels = [self.object_label(i) for i in range(len(self.objects))]
+        # ``build_nerve``'s view, in which an arrow is a morphism index and
+        # an object's cell is the object itself.  The arrows after a chain
+        # depend on its end only, so its d_0, which ends where it does, finds
+        # them where they are: ``shift`` is the identity.  The nerve calls
+        # these per chain, so each is a C-level lookup.
+        labels = self._labels = [self.object_label(i) for i in range(len(self.objects))]
         self.arrows = range(len(self.morphisms))
+        self.object_cells = range(len(self.objects))
         self.arrow_faces = [(t, s) for s, t, _ in self.morphisms].__getitem__
         self.after = [self.out_of[t] for _, t, _ in self.morphisms].__getitem__
+        self.target = [t for _, t, _ in self.morphisms].__getitem__
         self.top_label = [labels[t] for _, t, _ in self.morphisms].__getitem__
-        self.tail = tuple
+        place = [0] * len(self.morphisms)
+        for out in self.out_of:
+            for j, m in enumerate(out):
+                place[m] = j
+        self.position = place.__getitem__
+        stay = [range(len(out)) for out in self.out_of]
+        self.shift = lambda t, e: stay[t]
 
     def compose(self, m2: int, m1: int) -> int:
         """Index of the composite of morphism m1 followed by m2."""
@@ -85,7 +97,7 @@ class AcyclicCategory:
 
     def morphism_label(self, i: int) -> str:
         s, t, key = self.morphisms[i]
-        return arrow_label(self.object_label(s), self._key_label(key), self.object_label(t))
+        return arrow_label(self._labels[s], self._key_label(key), self._labels[t])
 
 
 def arrow_label(source: str, key: str, target: str) -> str:
@@ -209,61 +221,89 @@ def build_nerve(cat) -> SemiSimplicialSet:
     """Semi-simplicial set of nondegenerate chains of the category: an
     ``AcyclicCategory`` or the orbit category ``model.OrbitCategory``.
 
-    Level 0 is ``objects``, labelled by ``object_label(i)``.  Level 1 is
-    ``arrows``, each arrow as chains hold it, labelled by
-    ``morphism_label(a)``, with faces ``arrow_faces(a)`` (the positions of
-    d_0 and d_1 in level 0).  A chain ending in a is extended by each arrow
-    of ``after(a)``, and ``top_label(a)`` labels a's target.  A middle face
-    composes two arrows by ``compose(a2, a1)``, which also checks closure.
-    d_0 is ``tail`` of the chain without its first arrow: the identity for
-    an ``AcyclicCategory``, the lift with a canonical bottom cell for the
-    orbit category.
+    Level 0 is ``objects``, labelled by ``object_label(i)``; object i ends
+    at the cell ``object_cells[i]``.  Level 1 is ``arrows``, each arrow as
+    chains hold it, labelled by ``morphism_label(a)``, with faces
+    ``arrow_faces(a)`` (the positions of d_0 and d_1 in level 0).  A chain
+    ending in arrow a ends at the cell ``target(a)``, is extended by each
+    arrow of ``after(a)``, the arrows out of that cell, and
+    ``top_label(a)`` labels the cell.  An arrow x sits at ``position(x)`` in
+    the list of the arrows out of its source.
 
     Each level comes out in lexicographic order with no sort.  Level 1 is
-    ``arrows``, which ascends.  If level n is ascending, its chains are
-    extended in that order, and each by the arrows of an ``after`` list,
-    which ascends; two extensions of different parents compare as their
-    parents do, so level n+1 ascends too.  The last face of an extension is
-    the chain it extends, so its index is the parent's position, and its
-    label is the parent's object-chain label plus the new top object.
+    ``arrows``, which ascends and lists each object's arrows together.  If
+    level n is ascending, its chains are extended in that order, and each
+    by the arrows of an ``after`` list, which ascends; two extensions of
+    different parents compare as their parents do, so level n+1 ascends
+    too.  So the children of a chain ch are consecutive: ch + m, for m at
+    position j of ``after(a)``, is chain ``start[ch] + j`` of level n+1.
+    A child's label is the parent's object-chain label plus the new top
+    object.
+
+    Faces are index arithmetic on the parent's faces f_0 .. f_n (n >= 1
+    arrows, the last a; position j as above):
+
+    - d_{n+1} is ch itself;
+    - d_n drops a's source, so it extends f_n by ``compose(m, a)``, which
+      leaves a's source: ``start[f_n] + position(compose(m, a))``;
+    - d_i for 0 < i < n drops an object below a's target, so f_i ends
+      where ch does and has the same ``after`` list: ``start[f_i] + j``;
+    - d_0 extends f_0 by m moved to f_0's end, at position
+      ``shift(target(a), e)[j]`` of that end e's list.  In a category a
+      chain's d_0 ends where it does and the move is the identity; in the
+      orbit category d_0 is moved to its lift with a canonical bottom cell.
+
+    Composition checks closure: ``AcyclicCategory.compose`` raises
+    ``InvalidCategory`` for a composite that is not stored.  Only the last
+    two arrows of each new chain are composed, yet every pair of adjacent
+    arrows of a chain is the last pair of a prefix, which is itself a chain
+    built earlier, so every pair the full face rule composes is composed.
     """
     if not cat.objects:
         return SemiSimplicialSet([], [])
     obj_labels = [cat.object_label(i) for i in range(len(cat.objects))]
-    labels = [obj_labels]
-    faces = [[]]
+    lasts = list(cat.arrows)  # the last arrow of each chain at the level being extended
+    if not lasts:
+        return SemiSimplicialSet([obj_labels], [[]])
+    rows = [cat.arrow_faces(a) for a in lasts]
+    labels = [obj_labels, [cat.morphism_label(a) for a in lasts]]
+    faces = [[], rows]
+    after, compose, position = cat.after, cat.compose, cat.position
+    shift, target, top_label = cat.shift, cat.target, cat.top_label
+    # paths[c]: the chain label of chain c's objects, bottom first
+    paths = [chain_label((obj_labels[s], top_label(a))) for a, (_, s) in zip(lasts, rows)]
+    # of the level below: start[f], the position of chain f's first child
+    # in the level being extended, and ends[f], the cell it ends at
+    start = [0] * len(obj_labels)
+    for i in range(len(rows) - 1, -1, -1):
+        start[rows[i][1]] = i
+    ends = cat.object_cells
 
-    # only the level being extended is held as tuples of arrows (first arrow first)
-    after, top_label, compose, tail = cat.after, cat.top_label, cat.compose, cat.tail
-    level: list[tuple] = [(a,) for a in cat.arrows]
-    ends = [cat.arrow_faces(a) for (a,) in level]
-    # paths[i]: the chain label of chain i's objects, bottom first
-    paths = [chain_label((obj_labels[s], top_label(a))) for (a,), (_, s) in zip(level, ends)]
-    if level:
-        labels.append([cat.morphism_label(a) for (a,) in level])
-        faces.append(ends)
-    index: dict[tuple, int] = {ch: i for i, ch in enumerate(level)}
-
-    while level:
-        nxt, new_faces, new_paths = [], [], []
-        n = len(level[0]) + 1  # chain length at the new level
-        for parent, ch in enumerate(level):
-            path = paths[parent]
-            for m in after(ch[-1]):
-                new = ch + (m,)
-                row = [index[tail(new[1:])]]
-                for i in range(1, n):
-                    row.append(index[new[: i - 1] + (compose(new[i], new[i - 1]),) + new[i + 1:]])
-                row.append(parent)
-                nxt.append(new)
-                new_faces.append(tuple(row))
-                new_paths.append(chain_label((path, top_label(m))))
+    while True:
+        nxt, new_faces, new_paths, new_start = [], [], [], []
+        for c, (a, (f0, *inner, fn), path) in enumerate(zip(lasts, rows, paths)):
+            new_start.append(len(nxt))
+            ms = after(a)
+            if not ms:
+                continue
+            d0, dn, width = start[f0], start[fn], len(ms)
+            new_faces.extend(
+                zip(
+                    [d0 + j for j in shift(target(a), ends[f0])],
+                    *[range(start[f], start[f] + width) for f in inner],
+                    [dn + position(compose(m, a)) for m in ms],
+                    repeat(c, width),
+                )
+            )
+            nxt.extend(ms)
+            head = chain_label((path, ""))  # the parent's label and a separator
+            new_paths.extend([head + top_label(m) for m in ms])
         if not nxt:
             break
         labels.append(new_paths)
         faces.append(new_faces)
-        level, paths = nxt, new_paths
-        index = {ch: i for i, ch in enumerate(nxt)}
+        ends = [target(a) for a in lasts]
+        start, lasts, rows, paths = new_start, nxt, new_faces, new_paths
     return SemiSimplicialSet(labels, faces)
 
 

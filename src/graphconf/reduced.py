@@ -46,6 +46,11 @@ class TwoCellType:
     shared_vertices: int
 
 
+def _edge_classes(g: Graph) -> dict:
+    """Edge id -> its ``classify_edge`` class; each call scans every edge."""
+    return {e.id: classify_edge(g, e.id) for e in g.edges}
+
+
 def _attached(g: Graph, eid: str) -> frozenset:
     return frozenset(v for v in g.edge(eid).ends if v is not None)
 
@@ -53,7 +58,7 @@ def _attached(g: Graph, eid: str) -> frozenset:
 def classify_2cells(g: Graph) -> list:
     """Tag every ordered pair of edges (equal pairs included)."""
     _require_leaf_free(g)
-    classes = {e.id: classify_edge(g, e.id) for e in g.edges}
+    classes = _edge_classes(g)
     short = {EdgeClass.LOOP: "L", EdgeClass.BRANCH: "B", EdgeClass.CONNECTION: "C"}
     out = []
     for a in g.edge_ids():
@@ -92,22 +97,23 @@ class GluedComplex:
         return len(self.vertices) - len(self.edges) + len(self.faces2)
 
 
-def _keep_chain(g: Graph, cell: cl.BraidCell, length: int, data) -> bool:
+def _keep_chain(g: Graph, cell: cl.BraidCell, length: int, data, classes: dict) -> bool:
     """Retention rule for a chain of ``length`` morphisms whose top object
     is ``cell`` and whose last datum is ``data`` (None at length 0).  A
-    chain below a 2-cell always stays."""
+    chain below a 2-cell always stays.  ``classes`` is ``_edge_classes(g)``,
+    made once for all chains of the graph."""
     if cell.dimension < 2:
         return True
     e0, e1 = cell.entries[0][1], cell.entries[1][1]
     if e0 == e1:
-        kind = classify_edge(g, e0)
+        kind = classes[e0]
         if kind == EdgeClass.LOOP:
             return True
         if kind == EdgeClass.BRANCH:
             return not _attached(g, e0)
         return False  # connection diagonal halves collapse to corner points
 
-    k0, k1 = classify_edge(g, e0), classify_edge(g, e1)
+    k0, k1 = classes[e0], classes[e1]
     shared = _attached(g, e0) & _attached(g, e1)
     kinds = {k0, k1}
 
@@ -163,13 +169,16 @@ def build_reduced(g: Graph) -> GluedComplex:
     if s.size(0) == 0:
         raise EmptyComplex("no two-point configuration fits the graph")
     arrows = model.category.morphisms
-    keep = [[i for i, cell in enumerate(model.cells) if _keep_chain(g, cell, 0, None)]]
+    classes = _edge_classes(g)
+    keep = [[i for i, cell in enumerate(model.cells) if _keep_chain(g, cell, 0, None, classes)]]
     last = range(s.size(1))  # last[i]: the last arrow of chain i, which d_0 keeps
     for n in range(1, s.dimensions):
         if n > 1:
             last = [last[fs[0]] for fs in s.faces[n]]
         tops = ((model.cells[arrows[m][1]], arrows[m][2]) for m in last)  # (top cell, last datum)
-        keep.append([i for i, (top, data) in enumerate(tops) if _keep_chain(g, top, n, data)])
+        keep.append(
+            [i for i, (top, data) in enumerate(tops) if _keep_chain(g, top, n, data, classes)]
+        )
     sub = s.restrict(keep)
     kept = keep[: sub.dimensions]
 

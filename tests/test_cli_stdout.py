@@ -47,3 +47,18 @@ def test_stdout_pipe_closed_by_the_reader(tmp_path):
     err = child.stderr.decode()
     assert child.returncode == 2, err
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_stdout_closed_at_start_exits_2():
+    # with fd 1 closed the interpreter sets sys.stdout to None, and print
+    # would drop the report without an error
+    env = {**os.environ, "PYTHONPATH": SRC}
+    child = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m graphconf gen theta >&-', sys.executable],
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert err == "error: no standard output to write the report to\n"

@@ -160,12 +160,13 @@ def reference_kept(g):
     its last arrow."""
     m = build_model(g, 2)
     _, chains = reference_build_nerve(m.category)
+    classes = {e.id: gr.classify_edge(g, e.id) for e in g.edges}
     keep = []
     for n, level in enumerate(chains):
         keep.append([])
         for i, ch in enumerate(level):
             _, top, data = m.category.morphisms[ch[-1]] if n else (None, ch[0], None)
-            if _keep_chain(g, m.cells[top], n, data):
+            if _keep_chain(g, m.cells[top], n, data, classes):
                 keep[-1].append(i)
     while keep and not keep[-1]:
         keep.pop()

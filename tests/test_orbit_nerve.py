@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -77,6 +78,34 @@ def test_orbit_category_after_lists_ascend(graph, k):
         arrows = cat.after((None, t, None))
         assert arrows == sorted(arrows)
         assert all(m[0] == t for m in arrows)
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [(gr.theta_graph(), 3), (k4(), 3), (k33(), 2)],
+    ids=["theta-3", "k4-3", "k33-2"],
+)
+def test_orbit_category_shift_moves_arrows(graph, k):
+    # shift(t, e)[j] is where arrow j after cell t lands in e's list once
+    # moved by the permutation taking t to e.  On these graphs the nerve
+    # only asks for shifts that keep every position, so this test, not the
+    # nerve's, sees the pairs of cells whose lists are ordered differently.
+    objs = cl.configuration_cells(graph, k)
+    cat = OrbitCategory(objs)
+    index = {c: i for i, c in enumerate(objs)}
+    reordered = 0
+    for t, c in enumerate(objs):
+        for tau in permutations(range(k)):
+            e = index[cl.act_on_cell(tau, c)]
+            target = cat.after((None, e, None))
+            moved = [
+                (e, index[cl.act_on_cell(tau, objs[u])], cl.relocate(tau, data))
+                for _, u, data in cat.after((None, t, None))
+            ]
+            expected = [target.index(m) for m in moved]
+            assert list(cat.shift(t, e)) == expected
+            reordered += expected != sorted(expected)
+    assert reordered
 
 
 @st.composite
