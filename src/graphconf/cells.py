@@ -27,6 +27,12 @@ them.  ``morphisms_into`` is its cell-level view, sorted, for callers that
 want source cells.  ``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
 data is the S_k action.  ``canonical_order`` names the least cell of a
 cell's orbit and the permutation between them without acting on a cell.
+
+The ordered model takes its cells from ``configuration_cells``, which keeps
+the braid cells outside the discriminant.  The unordered model needs only
+the least cell of each orbit, which ``canonical_cells`` generates directly
+from the multisets of vertices and edges, k!-fold fewer cells and no braid
+cell.
 """
 
 from dataclasses import dataclass, field
@@ -94,13 +100,22 @@ class BraidCell:
         return sum(len(part) for _, part in self.blocks)
 
     def label(self) -> str:
+        return cell_label(self.label_parts())
+
+    def label_parts(self) -> tuple:
+        """The label's entry per coordinate: a vertex id, or an edge id
+        and the position of the coordinate's block in the edge's order."""
         # along[i]: the position, in its edge's order, of coordinate i's block
         along = {i: pos for _, part in self.blocks for pos, blk in enumerate(part) for i in blk}
-        parts = [
+        return tuple(
             entry[1] if entry[0] == "v" else f"{entry[1]}#{along[i]}"
             for i, entry in enumerate(self.entries)
-        ]
-        return "(" + ",".join(parts) + ")"
+        )
+
+
+def cell_label(parts) -> str:
+    """A cell's label from its per-coordinate parts."""
+    return "(" + ",".join(parts) + ")"
 
 
 def ordered_partitions(items: tuple):
@@ -169,6 +184,42 @@ def in_discriminant(c: BraidCell) -> bool:
 
 def configuration_cells(g: Graph, k: int) -> list[BraidCell]:
     return [c for c in enumerate_braid_cells(g, k) if not in_discriminant(c)]
+
+
+def canonical_cells(g: Graph, k: int) -> list[BraidCell]:
+    """The least configuration cell of each S_k orbit, in ``sort_key`` order.
+
+    The least cell of an orbit lists its entries in ascending order
+    (``canonical_order``): j distinct vertices on coordinates 0..j-1, then
+    a multiset of k-j edges, each edge's coordinates in ascending order as
+    singleton blocks.  So the orbits are the multisets of k symbols that
+    repeat no vertex (Swiatkowski's 0-cells, sum_j C(|V|, j) C(|E|+k-j-1, k-j)
+    of them), and the cells are generated from them directly, with no braid
+    cell and no filter.  The symbols are listed by ``_entry_key``, and the
+    multisets are grown in that order, each symbol followed only by itself
+    (an edge) or by later symbols, so they come out in ``sort_key`` order.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    symbols = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
+    symbols.sort(key=_entry_key)
+    nv = len(g.vertices)  # the vertices lead the symbols
+    cells = []
+
+    def grow(entries: tuple, lo: int) -> None:
+        if len(entries) == k:
+            groups: dict[str, list] = {}  # ascending edge id, as entries ascend
+            for i, entry in enumerate(entries):
+                if entry[0] == "e":
+                    groups.setdefault(entry[1], []).append((i,))
+            blocks = tuple((eid, tuple(part)) for eid, part in groups.items())
+            cells.append(BraidCell(k, entries, blocks, g))
+            return
+        for s in range(lo, len(symbols)):
+            grow(entries + (symbols[s],), s + (s < nv))
+
+    grow((), 0)
+    return cells
 
 
 def faces_into(d: BraidCell):

@@ -21,7 +21,7 @@ from .abrams import (
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import build_model, model_complex, orbit_nerve
+from .model import build_model, model_complex
 from .nerve import (
     EmptyComplex,
     SemiSimplicialSet,
@@ -167,9 +167,9 @@ def cmd_model(args) -> dict:
 
 
 def _group_report(s: SemiSimplicialSet) -> dict:
-    pres = pi1.presentation(s)
-    simplified = pi1.simplify(pres)
-    rank, torsion = pi1.abelianization(pres)
+    simplified = pi1.simplify(pi1.presentation(s))
+    # Tietze moves keep the group, so its abelianization
+    rank, torsion = pi1.abelianization(simplified)
     try:
         free = pi1.free_rank(s)
     except InputError:
@@ -187,10 +187,9 @@ def cmd_braidgroup(args) -> dict:
         raise InputError("k must be >= 1")
     if args.remove_leaves:
         g = gr.remove_leaves(g)
-    model = build_model(g, args.k)
     return {
-        "ordered": _group_report(model.complex),
-        "unordered": _group_report(orbit_nerve(model.cells)),
+        "ordered": _group_report(build_model(g, args.k).complex),
+        "unordered": _group_report(model_complex(g, args.k, quotient=True)),
     }
 
 

@@ -7,8 +7,11 @@ or passes to the symmetric-group quotient.
 The unordered model is the nerve of the orbit category C/S_k, which
 ``build_nerve`` builds as it builds the ordered one: S_k acts freely on
 configuration cells, so nerve(C)/S_k is nerve(C/S_k), and no ordered nerve
-is built for it.  Each chain orbit is stored as its one lift whose bottom
-cell is the least cell of its orbit.  Chains are ordered by their morphism
+is built for it.  It starts from one cell per orbit
+(``cells.canonical_cells``) and makes another member of an orbit only when
+a chain reaches it, so its cost follows the unordered f-vector, with no
+factor of k! for the ordered cells.  Each chain orbit is stored as its one
+lift whose bottom cell is the least cell of its orbit.  Chains are ordered by their morphism
 tuples and morphisms by (source, target, datum), and the free action moves
 the bottom cell of every lift to a different cell, so that lift is the
 least member of the orbit: the one ``quotient_by_free_action`` keeps.
@@ -90,22 +93,27 @@ def symmetric_action(model: Model) -> list:
 
 
 class OrbitCategory:
-    """The orbit category C/S_k of the face category C on the configuration
-    cells ``objs`` (listed in canonical order), in ``build_nerve``'s view.
+    """The orbit category C/S_k of the face category C, in ``build_nerve``'s
+    view, on the canonical cells ``canon``: the least cell of each orbit, in
+    canonical order, as ``cells.canonical_cells`` lists them.
 
-    A cell is its index in ``objs``, a morphism its (source, target, datum)
-    triple.  The objects are the canonical cells (each the least of its
-    orbit), the arrows the lifts with a canonical source: ``faces_into`` of
-    canonical cells, moved by the permutation that makes their source
-    canonical.  ``after(m)`` is the sorted list of the arrows out of the
-    orbit of m's target t, moved to t, built the first time a chain reaches
-    t.  Chains are the lifts with a canonical bottom cell.
-
-    Each cell is canonicalised from its own entries and blocks
-    (``cells.canonical_order``): the order is the lift that takes the least
-    cell of the orbit to it, and that least cell is the one whose order is
-    the identity, keyed by its sorted entries.  No cell is acted on and
-    none is looked up by its entries and blocks.
+    A member of an orbit is the cell ``act_on_cell(lift, c)`` of a
+    canonical cell c and a permutation, its lift, and is named by an id:
+    canonical cell r is member r, with the identity lift, and any other
+    member takes the next id the first time an arrow reaches it
+    (``member``).  Its sort key and label are computed then, and its
+    after() list the first time a chain reaches it, so no member is made
+    that no chain reaches: 366 of the 61,200 cells of theta k=6.  A
+    morphism is its (source, target, datum) triple.  The objects are the
+    canonical cells, the arrows the lifts with a canonical source:
+    ``faces_into`` of canonical cells, moved by the permutation that makes
+    their source canonical.  Each source is canonicalised from its own entries and blocks
+    (``cells.canonical_order``), and no cell is looked up by its entries and
+    blocks.  ``after(m)`` is the list of the arrows out of the orbit of m's
+    target t, moved to t, sorted by (target sort key, datum): the order of
+    the ordered model, so chains, labels and faces are those of the
+    quotient of the ordered nerve.  Chains are the lifts with a canonical
+    bottom cell.
 
     The after() lists of one orbit are reorderings of its canonical cell's
     list, so each arrow keeps its position in that list (its id) when it
@@ -114,50 +122,72 @@ class OrbitCategory:
     its lift with a canonical bottom cell.
     """
 
-    def __init__(self, objs: list):
-        canon_of = {}  # sorted entries -> index of the canonical cell listing them
-        self._canon = []  # [i]: index of the least cell of cell i's orbit
-        self._lift = []  # [i]: the permutation taking that cell to cell i
-        self._members = {}  # (canonical index, rho) -> index of rho . canonical cell
-        identity = tuple(range(objs[0].k)) if objs else ()
-        for i, c in enumerate(objs):
-            lift, key = _least(c.entries, c.blocks)
-            if lift == identity:  # the least cell of its orbit, met first as objs ascend
-                canon_of[key] = i
-            r = canon_of[key]
-            self._canon.append(r)
-            self._lift.append(lift)
-            self._members[r, lift] = i
-        reps = list(canon_of.values())
-        self._labels = [c.label() for c in objs]
-        self._position = {r: p for p, r in enumerate(reps)}
-        self.objects = [self._labels[r] for r in reps]
-        self.object_cells = reps
-        # _out[t]: after() of a morphism into cell t, which lists the arrows
-        # out of t's canonical cell moved to t; _ids[t][j]: the position in
-        # that canonical list of arrow j, and _slots[t] its inverse.  A
-        # canonical cell's lift is the identity, so its list is the one of
-        # its orbit's lifts and its ids ascend.
-        self._out = {r: [] for r in reps}
+    def __init__(self, canon: list):
+        # per member id: its canonical cell, lift, sort key and label
+        self._canon, self._lift, self._keys, self._labels = [], [], [], []
+        self._members = {}  # (canonical cell, lift) -> member id
+        # per canonical cell, what its members relocate: its entry keys and
+        # its label's parts; and its number of vertex entries, which lead
+        # its coordinates
+        self._templates = [(c.sort_key()[0], c.label_parts(), c.k - c.dimension) for c in canon]
+        identity = tuple(range(canon[0].k)) if canon else ()
+        for r in range(len(canon)):
+            self.member(r, identity)
+        self.objects = self._labels[: len(canon)]
+        self.object_cells = range(len(canon))
+        canon_of = {c.entries: r for r, c in enumerate(canon)}
+        # _out[t]: after() of a morphism into member t, which lists the
+        # arrows out of t's canonical cell moved to t; _ids[t][j]: the
+        # position in that canonical list of arrow j, and _slots[t] its
+        # inverse.  A canonical cell's lift is the identity, so its list is
+        # the one of its orbit's lifts and its ids ascend.
+        self._out = {r: [] for r in self.object_cells}
         self._ids, self._slots = {}, {}
         self._place = {}  # arrow -> its position in the after() list of its source
-        for d in reps:
-            for (entries, blocks), data in cl.faces_into(objs[d]):
+        for d, c in enumerate(canon):
+            for (entries, blocks), data in cl.faces_into(c):
                 # move the arrow by sigma, which takes its source to the
                 # least cell: d goes to its member sigma . d
                 lift, key = _least(entries, blocks)
                 sigma = tuple(sorted(range(len(lift)), key=lift.__getitem__))
-                m = (canon_of[key], self._members[d, sigma], cl.relocate(sigma, data))
+                m = (canon_of[key], self.member(d, sigma), cl.relocate(sigma, data))
                 self._out[m[0]].append(m)
-        for r in reps:
-            arrows = sorted(self._out[r])
+        for r in self.object_cells:
+            arrows = sorted(self._out[r], key=self._order)
             self._listed(r, arrows, range(len(arrows)))
-        self.arrows = [m for r in reps for m in self._out[r]]
+        self.arrows = [m for r in self.object_cells for m in self._out[r]]
         self.position = self._place.__getitem__
         self.target = itemgetter(1)
 
+    def member(self, r: int, lift: tuple) -> int:
+        """The id of the member ``act_on_cell(lift, canon[r])``, made with
+        its key and label on the first call.
+
+        Its label is the canonical cell's, its parts relocated by the lift.
+        Its key orders members as ``BraidCell.sort_key`` does, with no cell
+        built: its entry keys, then the images under the lift of the
+        canonical cell's edge coordinates, which follow its vertex ones in
+        block order.  Members with equal entries share an orbit, so their
+        blocks list the images of the same coordinates, in groups of the
+        same sizes, and compare as those images do.
+        """
+        got = self._members.get((r, lift))
+        if got is None:
+            got = self._members[r, lift] = len(self._lift)
+            entry_keys, parts, verts = self._templates[r]
+            self._canon.append(r)
+            self._lift.append(lift)
+            self._keys.append(cl.relocate(lift, entry_keys) + lift[verts:])
+            self._labels.append(cl.cell_label(cl.relocate(lift, parts)))
+        return got
+
+    def _order(self, m: tuple) -> tuple:
+        """The order of the arrows out of one member: by the sort key of
+        their target, then by datum."""
+        return (self._keys[m[1]], m[2])
+
     def _listed(self, t: int, arrows: list, ids) -> list:
-        """Record ``arrows`` as cell t's after() list, with their positions
+        """Record ``arrows`` as member t's after() list, with their positions
         and their ``ids`` in the canonical cell's list."""
         self._out[t] = arrows
         self._ids[t] = ids
@@ -170,14 +200,14 @@ class OrbitCategory:
     def _after_cell(self, t: int) -> list:
         got = self._out.get(t)
         if got is None:
-            lift, members, canon = self._lift[t], self._members, self._canon
+            lift, canon, member = self._lift[t], self._canon, self.member
             # the arrows out of the canonical cell, moved by its lift to t
             moved = [
-                (t, members[canon[u], tuple(map(lift.__getitem__, self._lift[u]))],
+                (t, member(canon[u], tuple(map(lift.__getitem__, self._lift[u]))),
                  cl.relocate(lift, data))
                 for _, u, data in self._out[canon[t]]
             ]
-            ids = sorted(range(len(moved)), key=moved.__getitem__)
+            ids = sorted(range(len(moved)), key=lambda q: self._order(moved[q]))
             got = self._listed(t, [moved[q] for q in ids], ids)
         return got
 
@@ -185,9 +215,9 @@ class OrbitCategory:
         return self._after_cell(m[1])
 
     def shift(self, t: int, e: int) -> list:
-        """[j]: the position in cell e's after() list of arrow j of cell t's,
-        moved to e (by the one permutation taking t to e): both lists are
-        the moves of one canonical list, so it keeps its id there."""
+        """[j]: the position in member e's after() list of arrow j of member
+        t's, moved to e (by the one permutation taking t to e): both lists
+        are the moves of one canonical list, so it keeps its id there."""
         self._after_cell(t)
         self._after_cell(e)
         slots = self._slots[e]
@@ -205,7 +235,7 @@ class OrbitCategory:
 
     def arrow_faces(self, m: tuple) -> tuple[int, int]:
         s, t, _ = m
-        return (self._position[self._canon[t]], self._position[s])
+        return (self._canon[t], s)
 
     def compose(self, m2: tuple, m1: tuple) -> tuple:
         return (m1[0], m2[1], cl.compose_data(m2[2], m1[2]))
@@ -221,8 +251,13 @@ def _least(entries: tuple, blocks: tuple) -> tuple:
 
 def orbit_nerve(objs: list) -> SemiSimplicialSet:
     """The nerve of the face category on the configuration cells ``objs``
-    (listed in canonical order) divided by the free action of S_k."""
-    return build_nerve(OrbitCategory(objs))
+    (listed in canonical order) divided by the free action of S_k.
+
+    Only the canonical cells of ``objs`` are read, the ones whose
+    ``canonical_order`` is the identity: ``canonical_cells`` lists just
+    these, and a full list of configuration cells also works."""
+    canon = [c for c in objs if cl.canonical_order(c.entries, c.blocks) == tuple(range(c.k))]
+    return build_nerve(OrbitCategory(canon))
 
 
 def model_complex(
@@ -234,5 +269,5 @@ def model_complex(
     if drop_leaves:
         g = gr.remove_leaves(g)
     if quotient:
-        return orbit_nerve(cl.configuration_cells(g, k))
+        return orbit_nerve(cl.canonical_cells(g, k))
     return build_model(g, k).complex

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphconf import cells as cl
 from graphconf import graphs as gr
+from graphconf import model
 from graphconf.homology import chain_complex, homology
 from graphconf.model import OrbitCategory, build_model, model_complex, symmetric_action
 from graphconf.nerve import quotient_by_free_action
@@ -63,20 +64,31 @@ def test_orbit_nerve_is_quotient_of_ordered_nerve(graph, k):
     assert_quotient_of_ordered(graph, k)
 
 
+def all_members(cat, canon, k):
+    """{id: cell} of every member of every orbit, reached or not."""
+    return {
+        cat.member(r, lift): cl.act_on_cell(lift, c)
+        for r, c in enumerate(canon) for lift in permutations(range(k))
+    }
+
+
 @pytest.mark.parametrize(
     "graph, k",
     [(gr.theta_graph(), 3), (k4(), 3), (xb(), 3), (k33(), 2)],
     ids=["theta-3", "k4-3", "xb-3", "k33-2"],
 )
 def test_orbit_category_after_lists_ascend(graph, k):
-    # build_nerve's order argument needs every after() list ascending.
-    # Moving a canonical cell's list to another cell of its orbit reorders
-    # it for some cells (on these graphs, only cells no chain reaches).
-    objs = cl.configuration_cells(graph, k)
-    cat = OrbitCategory(objs)
-    for t in range(len(objs)):
+    # build_nerve's order argument needs every after() list ascending, as
+    # the ordered model orders arrows: by target cell, then datum.  Moving a
+    # canonical cell's list to another member of its orbit reorders it for
+    # some members (on these graphs, only members no chain reaches).
+    canon = cl.canonical_cells(graph, k)
+    cat = OrbitCategory(canon)
+    cells = all_members(cat, canon, k)
+    for t in cells:
         arrows = cat.after((None, t, None))
-        assert arrows == sorted(arrows)
+        keys = [(cells[u].sort_key(), data) for _, u, data in arrows]
+        assert keys == sorted(keys)
         assert all(m[0] == t for m in arrows)
 
 
@@ -86,26 +98,51 @@ def test_orbit_category_after_lists_ascend(graph, k):
     ids=["theta-3", "k4-3", "k33-2"],
 )
 def test_orbit_category_shift_moves_arrows(graph, k):
-    # shift(t, e)[j] is where arrow j after cell t lands in e's list once
+    # shift(t, e)[j] is where arrow j after member t lands in e's list once
     # moved by the permutation taking t to e.  On these graphs the nerve
     # only asks for shifts that keep every position, so this test, not the
-    # nerve's, sees the pairs of cells whose lists are ordered differently.
-    objs = cl.configuration_cells(graph, k)
-    cat = OrbitCategory(objs)
-    index = {c: i for i, c in enumerate(objs)}
+    # nerve's, sees the pairs of members whose lists are ordered differently.
+    canon = cl.canonical_cells(graph, k)
+    cat = OrbitCategory(canon)
+    cells = all_members(cat, canon, k)
+    index = {c: m for m, c in cells.items()}
     reordered = 0
-    for t, c in enumerate(objs):
+    for t, c in cells.items():
         for tau in permutations(range(k)):
             e = index[cl.act_on_cell(tau, c)]
             target = cat.after((None, e, None))
             moved = [
-                (e, index[cl.act_on_cell(tau, objs[u])], cl.relocate(tau, data))
+                (e, index[cl.act_on_cell(tau, cells[u])], cl.relocate(tau, data))
                 for _, u, data in cat.after((None, t, None))
             ]
             expected = [target.index(m) for m in moved]
             assert list(cat.shift(t, e)) == expected
             reordered += expected != sorted(expected)
     assert reordered
+
+
+def test_unordered_model_makes_no_ordered_cells(monkeypatch):
+    # theta k=6 has 61,200 configuration cells in 85 orbits; the unordered
+    # model generates the 85 and makes another member of an orbit only
+    # when a chain reaches it, so no more members than chains
+    def refuse(*args):
+        raise AssertionError("the unordered model enumerated ordered cells")
+
+    monkeypatch.setattr(cl, "configuration_cells", refuse)
+    monkeypatch.setattr(cl, "enumerate_braid_cells", refuse)
+    built = []
+
+    class Recorded(OrbitCategory):
+        def __init__(self, canon):
+            super().__init__(canon)
+            built.append(self)
+
+    monkeypatch.setattr(model, "OrbitCategory", Recorded)
+    s = model_complex(gr.theta_graph(), 6, quotient=True)
+    assert s.fvector() == (85, 351, 270)
+    (cat,) = built
+    assert len(cat._lift) <= sum(s.fvector())
+    assert len(cat._out) <= sum(s.fvector())
 
 
 @st.composite
@@ -197,3 +234,14 @@ def test_ordered_homology_invariant_under_subdivision(graph, k):
     assert trimmed_homology(graph, k, quotient=False) == trimmed_homology(
         gr.subdivide(graph, 2), k, quotient=False
     )
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_theta_betti_growth_at_large_k(k):
+    # a k the ordered cells put out of reach (theta k=10 has 10! = 3,628,800
+    # members in each of its 221 orbits): beta_2 grows as C(k-2, 2), a
+    # polynomial of degree 2 = Delta^2 - 1 (An-Drummond-Cole-Knudsen,
+    # Geom. Topol. 2022), and chi is Gal's value
+    s = model_complex(gr.theta_graph(), k, quotient=True)
+    assert s.euler_characteristic() == gal_euler(gr.theta_graph(), k)
+    assert trimmed_homology(gr.theta_graph(), k) == ([1, 3, comb(k - 2, 2)], [[], [], []])

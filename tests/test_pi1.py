@@ -9,6 +9,7 @@ from graphconf.model import build_model, model_complex, orbit_nerve, symmetric_a
 from graphconf.nerve import quotient_by_free_action
 from graphconf.pi1 import Presentation
 from graphconf.reduced import build_reduced
+from test_orbit_nerve import small_multigraphs
 
 
 def test_spanning_tree_square_boundary():
@@ -79,6 +80,18 @@ def test_simplify_preserves_abelianization():
     for g, k in [(gr.cycle_graph(2), 2), (gr.theta_graph(), 2)]:
         p = pi1.presentation(model_complex(g, k))
         assert pi1.abelianization(p) == pi1.abelianization(pi1.simplify(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_simplify_keeps_abelianization_on_random_multigraphs(graph, k):
+    # braidgroup reports the abelianization of the simplified presentation
+    for quotient in (False, True):
+        try:
+            p = pi1.presentation(model_complex(graph, k, quotient=quotient))
+        except Disconnected:
+            continue  # braidgroup refuses it (exit 3)
+        assert pi1.abelianization(pi1.simplify(p)) == pi1.abelianization(p)
 
 
 def test_abelianization_commutator():
