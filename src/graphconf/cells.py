@@ -28,11 +28,13 @@ want source cells.  ``compose_data`` composes data, and ``act_on_cell`` with ``r
 data is the S_k action.  ``canonical_order`` names the least cell of a
 cell's orbit and the permutation between them without acting on a cell.
 
-The ordered model takes its cells from ``configuration_cells``, which keeps
-the braid cells outside the discriminant.  The unordered model needs only
-the least cell of each orbit, which ``canonical_cells`` generates directly
-from the multisets of vertices and edges, k!-fold fewer cells and no braid
-cell.
+Both models start from the least cell of each orbit, which
+``canonical_cells`` generates directly from the multisets of vertices and
+edges, k!-fold fewer cells and no braid cell: the unordered model is the
+nerve of the orbit category on them, and the ordered model its S_k-cover.
+``configuration_cells`` keeps the braid cells outside the discriminant; it
+is read only by the face category on every cell (``model.build_model``),
+which the two-point model filters.
 """
 
 from dataclasses import dataclass, field

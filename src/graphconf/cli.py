@@ -21,7 +21,7 @@ from .abrams import (
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import build_model, model_complex
+from .model import model_complex
 from .nerve import (
     EmptyComplex,
     SemiSimplicialSet,
@@ -188,7 +188,7 @@ def cmd_braidgroup(args) -> dict:
     if args.remove_leaves:
         g = gr.remove_leaves(g)
     return {
-        "ordered": _group_report(build_model(g, args.k).complex),
+        "ordered": _group_report(model_complex(g, args.k)),
         "unordered": _group_report(model_complex(g, args.k, quotient=True)),
     }
 

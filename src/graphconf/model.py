@@ -1,31 +1,41 @@
-"""High-level pipeline: graph -> face category -> nerve model.
+"""High-level pipeline: graph -> orbit category -> nerve model.
 
-This is the glue the CLI and tests use: it builds the acyclic category of
-configuration cells, takes its nerve, and optionally removes leaves first
-or passes to the symmetric-group quotient.
+This is the glue the CLI and tests use: it builds the nerve of the orbit
+category C/S_k of the face category C of configuration cells, and from it
+the ordered or the unordered model, optionally removing leaves first.
 
-The unordered model is the nerve of the orbit category C/S_k, which
-``build_nerve`` builds as it builds the ordered one: S_k acts freely on
-configuration cells, so nerve(C)/S_k is nerve(C/S_k), and no ordered nerve
-is built for it.  It starts from one cell per orbit
+The unordered model is the nerve of C/S_k, which ``build_nerve`` builds
+from the orbit category: S_k acts freely on configuration cells, so
+nerve(C)/S_k is nerve(C/S_k).  It starts from one cell per orbit
 (``cells.canonical_cells``) and makes another member of an orbit only when
 a chain reaches it, so its cost follows the unordered f-vector, with no
 factor of k! for the ordered cells.  Each chain orbit is stored as its one
-lift whose bottom cell is the least cell of its orbit.  Chains are ordered by their morphism
-tuples and morphisms by (source, target, datum), and the free action moves
-the bottom cell of every lift to a different cell, so that lift is the
-least member of the orbit: the one ``quotient_by_free_action`` keeps.
-Labels, chain order and faces are therefore those of the quotient of the
-ordered nerve.
+lift whose bottom cell is the least cell of its orbit.  Chains are ordered
+by their morphism tuples and morphisms by (source, target, datum), and the
+free action moves the bottom cell of every lift to a different cell, so
+that lift is the least member of the orbit: the one
+``quotient_by_free_action`` keeps.  Labels, chain order and faces are
+therefore those of the quotient of the ordered nerve.
+
+The ordered model, nerve(C), is the k!-sheeted cover of that nerve
+(``ordered_nerve``): every ordered chain is a permutation applied to one
+of those lifts, so its faces are index arithmetic on the orbit nerve's,
+and no configuration cell, face category or ordered composite is made.
+
+``build_model`` builds C on every configuration cell and takes its nerve
+with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
+reads it, for its category and cells, and the tests use it as the
+reference for ``ordered_nerve``.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
-from operator import itemgetter
+from functools import cache
+from itertools import accumulate, permutations
+from operator import add, itemgetter
 
 from . import cells as cl
 from . import graphs as gr
-from .nerve import AcyclicCategory, SemiSimplicialSet, arrow_label, build_nerve
+from .nerve import AcyclicCategory, SemiSimplicialSet, arrow_label, build_nerve, chain_label
 
 
 def face_category(objs: list) -> AcyclicCategory:
@@ -55,6 +65,10 @@ class Model:
 
 
 def build_model(g: gr.Graph, k: int) -> Model:
+    """The face category on every configuration cell, its nerve and its
+    cells.  Its nerve is the ordered model, which ``ordered_nerve`` builds
+    with no configuration cell; this is what reads the category and the
+    cells (the two-point model and ``symmetric_action``)."""
     objs = cl.configuration_cells(g, k)
     cat = face_category(objs)
     return Model(g, k, cat, build_nerve(cat), objs)
@@ -214,6 +228,17 @@ class OrbitCategory:
     def after(self, m: tuple) -> list:
         return self._after_cell(m[1])
 
+    # what ``ordered_nerve`` reads of a member t
+
+    def key(self, t: int) -> tuple:
+        return self._keys[t]
+
+    def label(self, t: int) -> str:
+        return self._labels[t]
+
+    def lift(self, t: int) -> tuple:
+        return self._lift[t]
+
     def shift(self, t: int, e: int) -> list:
         """[j]: the position in member e's after() list of arrow j of member
         t's, moved to e (by the one permutation taking t to e): both lists
@@ -260,14 +285,137 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
     return build_nerve(OrbitCategory(canon))
 
 
+def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
+    """The ordered model, the nerve of the face category, as the k!-sheeted
+    cover of the orbit nerve: labels, chain order and faces are those of
+    ``build_nerve(face_category(configuration_cells(g, k)))``, and no
+    configuration cell, face category or ordered composite is made.
+
+    S_k acts freely on ordered chains, so each is sigma . c^ for one
+    permutation sigma and one orbit chain c, held as its lift c^ with a
+    canonical bottom cell.  Each orbit chain carries lam_c, the lift of its
+    second object (an arrow's target; a longer chain's last face's), and
+    its last arrow mu_c . alpha_c, alpha_c an arrow with a canonical source,
+    read through d_0: alpha_c = alpha_{f_0} and mu_c = lam_c o mu_{f_0}.
+    Then d_0(sigma . c^) = (sigma o lam_c) . f_0^ and d_i(sigma . c^) =
+    sigma . f_i^ for i >= 1.
+
+    Level 0 is every member of every orbit, sorted by its key.  Level 1 is
+    each member's arrows in that order, each member's sorted by (target
+    position, datum): the face category's (source, target, datum) order, and
+    ``OrbitCategory.after``'s.  A longer chain is its parent d_n
+    extended by its last arrow, so it sits at its parent's first child plus
+    that arrow's position in the list out of the parent's end: the nerve's
+    lexicographic order, placed with no sort and no lookup.
+    """
+    cat = OrbitCategory(cl.canonical_cells(g, k))
+    orbit = build_nerve(cat).faces  # its labels are not read
+    if not orbit:
+        return SemiSimplicialSet([], [])
+    perms = list(permutations(range(k)))  # lexicographic: the identity is rank 0
+    rank = {p: i for i, p in enumerate(perms)}
+    width = len(perms)
+    # right[b][a]: the rank of perms[a] o perms[b]
+    right = [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
+
+    # the cover index of sigma . x, for x an object or chain of the orbit
+    # nerve, is x * width + rank(sigma); pos maps it to the ordered position
+    members = [cat.member(r, p) for r in range(len(cat.objects)) for p in perms]
+    order = sorted(range(len(members)), key=lambda x: cat.key(members[x]))
+    pos = [0] * len(members)
+    for p, x in enumerate(order):
+        pos[x] = p
+    objects = [cat.label(members[x]) for x in order]
+    labels, faces = [objects], [[]]
+    if len(orbit) == 1:
+        return SemiSimplicialSet(labels, faces)
+
+    # per canonical cell r, per arrow a = (r, t, d) out of it: a, the cover
+    # index of t's canonical cell, the rank of t's lift, and d
+    moves = [[] for _ in cat.objects]
+    for a, m in enumerate(cat.arrows):
+        moves[m[0]].append((a, cat.arrow_faces(m)[0] * width, rank[cat.lift(m[1])], m[2]))
+    inverse = [tuple(sorted(range(k), key=p.__getitem__)) for p in perms]
+    bars = ["|" + label for label in objects]
+    data_label = cache(cl.data_label)
+
+    # level 1: the arrows out of each member, members in level-0 order, and
+    # each member's sorted by (target, datum): its after() list, sorted here
+    # by the target's position.  Per orbit arrow a and rank i: slot[a][i],
+    # where perms[i] . a sits among the arrows out of its source, top[a][i],
+    # "|" and its target's label, and pos1, its position in level 1
+    slot = [[0] * width for _ in cat.arrows]
+    top = [[""] * width for _ in cat.arrows]
+    pos1 = [0] * (len(cat.arrows) * width)
+    degree, arrow_labels, arrow_faces = [], [], []
+    for p, x in enumerate(order):
+        r, i = divmod(x, width)
+        # perms[i] . a, for a = (r, t, d): its target's position and datum
+        moved = sorted(
+            (pos[b + right[lt][i]], tuple(map(d.__getitem__, inverse[i])), a)
+            for a, b, lt, d in moves[r]
+        )
+        s0 = len(arrow_labels)
+        degree.append(len(moved))
+        head = objects[p] + ">"
+        arrow_labels.extend([f"{head}{data_label(d)}>{objects[t]}" for t, d, _ in moved])
+        arrow_faces.extend([(t, p) for t, _, _ in moved])
+        for j, (t, _, a) in enumerate(moved):
+            slot[a][i] = j
+            top[a][i] = bars[t]
+            pos1[a * width + i] = s0 + j
+    labels.append(arrow_labels)
+    faces.append(arrow_faces)
+
+    # per orbit chain: lam_c and mu_c as ranks, and alpha_c as an orbit arrow
+    lam = [lt for ms in moves for _, _, lt, _ in ms]  # cat.arrows lists sources in order
+    mu = [0] * len(lam)
+    last = list(range(len(lam)))
+    # by cover index: ordered positions and object-path labels
+    pos = pos1
+    paths = [f"{objects[arrow_faces[p][1]]}{bars[arrow_faces[p][0]]}" for p in pos]
+    ends = [t for t, _ in arrow_faces]  # by ordered position: the level-0 position of its end
+    # the longer chains, most of the model, need none of these
+    del cat, members, order, moves
+
+    for level in orbit[2:]:
+        start = list(accumulate([degree[e] for e in ends], initial=0))
+        first = list(map(start.__getitem__, pos))  # by cover index
+        new_pos, new_paths, new_faces = [], [], []
+        new_lam, new_mu, new_last = [], [], []
+        for f0, *inner, fn in level:
+            lam_c = lam[fn]
+            mu_c = right[mu[f0]][lam_c]
+            a = last[f0]
+            new_lam.append(lam_c)
+            new_mu.append(mu_c)
+            new_last.append(a)
+            lo, hi = fn * width, fn * width + width
+            rho = right[mu_c]  # sigma o mu_c, over sigma
+            new_pos.extend(map(add, first[lo:hi], map(slot[a].__getitem__, rho)))
+            new_paths.extend(map(add, paths[lo:hi], map(top[a].__getitem__, rho)))
+            d0 = pos[f0 * width : f0 * width + width]
+            rows = [pos[f * width : f * width + width] for f in inner]
+            new_faces.extend(zip(map(d0.__getitem__, right[lam_c]), *rows, pos[lo:hi]))
+        inv = [0] * len(new_pos)  # by ordered position: the cover index
+        for i, p in enumerate(new_pos):
+            inv[p] = i
+        labels.append([new_paths[i] for i in inv])
+        faces.append([new_faces[i] for i in inv])
+        ends = [ends[fs[0]] for fs in faces[-1]]
+        pos, paths, lam, mu, last = new_pos, new_paths, new_lam, new_mu, new_last
+    return SemiSimplicialSet(labels, faces)
+
+
 def model_complex(
     g: gr.Graph, k: int, drop_leaves: bool = False, quotient: bool = False
 ) -> SemiSimplicialSet:
     """The configuration model as a semi-simplicial set, with options applied
-    in the order: leaf removal, quotient.  The quotient is built directly by
-    ``orbit_nerve``; the ordered model is not built for it."""
+    in the order: leaf removal, quotient.  The quotient is the orbit nerve
+    (``orbit_nerve``), and the ordered model its cover (``ordered_nerve``);
+    neither builds the face category on every configuration cell."""
     if drop_leaves:
         g = gr.remove_leaves(g)
     if quotient:
         return orbit_nerve(cl.canonical_cells(g, k))
-    return build_model(g, k).complex
+    return ordered_nerve(g, k)

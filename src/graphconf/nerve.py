@@ -10,14 +10,16 @@ label and a tuple of integer face indices into the level below, which makes
 boundary-matrix assembly a scan and keeps every downstream enumeration
 deterministic.  Level 1 lists the arrows in order, and a chain of length
 n >= 2 is fixed by d_0 (its tail) and d_n (its head), so no arrow tuple is
-stored.  ``build_nerve`` is the one construction of chains: it builds the
-ordered model from the face category and the unordered model from the
-orbit category.  It produces each level in lexicographic order by
-extending the level below in order, so nothing is sorted and the children
-of a chain are consecutive.  So every face of a new chain is found by
-arithmetic on its parent's faces and a position in an arrow list, with no
-lookup of a chain by its arrows; a chain's last face is the chain it
-extends, and its label is that chain's label plus its new top object.
+stored.  ``build_nerve`` is the one loop that extends chains: it builds
+the unordered model from the orbit category, whose S_k-cover
+(``model.ordered_nerve``) is the ordered model, and the face category's
+nerve, which the two-point model filters.  It produces each level in
+lexicographic order by extending the level below in order, so nothing is
+sorted and the children of a chain are consecutive.  So every face of a
+new chain is found by arithmetic on its parent's faces and a position in an
+arrow list, with no lookup of a chain by its arrows; a chain's last face is
+the chain it extends, and its label is that chain's label plus its new top
+object.
 """
 
 from dataclasses import dataclass

@@ -6,6 +6,7 @@ import pytest
 from graphconf import cells, cli, model, nerve, reduced
 from test_cli import run, write_graph
 from test_orbit_nerve import k4, k33
+from test_ordered_nerve import refuse_configuration_cells
 
 # Recorded from the two-build implementation; a single build must print
 # the same bytes.
@@ -57,16 +58,16 @@ def test_braidgroup_xb_3_stdout_pinned(capsys, tmp_path):
 
 
 def test_braidgroup_builds_one_model(capsys, tmp_path, monkeypatch):
+    # one ordered model, built as the cover of the orbit nerve
     path = write_graph(capsys, tmp_path, "theta")
     calls = []
-    real = model.build_model
+    real = model.ordered_nerve
 
     def counted(g, k):
         calls.append(k)
         return real(g, k)
 
-    monkeypatch.setattr(model, "build_model", counted)
-    monkeypatch.setattr(cli, "build_model", counted, raising=False)
+    monkeypatch.setattr(model, "ordered_nerve", counted)
     code, _, err = run(capsys, "braidgroup", "--graph", path, "-k", "2")
     assert code == 0, err
     assert calls == [2]
@@ -147,12 +148,17 @@ def test_one_chain_extension_loop(capsys, tmp_path, monkeypatch, command, flags,
     assert len(calls) == builds
 
 
-def test_braidgroup_enumerates_cells_once(capsys, tmp_path, monkeypatch):
+def test_braidgroup_makes_no_configuration_cells(capsys, tmp_path, monkeypatch):
+    # both sides are built from one cell per orbit: the ordered side as the
+    # S_k-cover of the orbit nerve, with no braid cell, face category or
+    # action on a cell
     path = write_graph(capsys, tmp_path, "theta")
-    calls = count_calls(monkeypatch, cells, "enumerate_braid_cells")
-    code, _, err = run(capsys, "braidgroup", "--graph", path, "-k", "2")
+    refuse_configuration_cells(monkeypatch)
+    code, out, err = run(capsys, "braidgroup", "--graph", path, "-k", "3")
     assert code == 0, err
-    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["ordered"]["abelianization"] == {"rank": 13, "torsion": []}
+    assert report["unordered"]["abelianization"] == {"rank": 3, "torsion": []}
 
 
 def test_model_quotient_acts_on_each_cell_about_once(capsys, tmp_path, monkeypatch):

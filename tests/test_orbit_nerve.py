@@ -172,8 +172,12 @@ def gal_euler(g, k):
         a = 1 - gr.valency(g, v)
         poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)]
     edges = len(g.edges)
-    # the coefficient of t^n in (1 - t)^-|E| is C(n + |E| - 1, n)
-    return sum(c * comb(k - j + edges - 1, k - j) for j, c in enumerate(poly[: k + 1]))
+    # the coefficient of t^n in (1 - t)^-|E| is C(n + |E| - 1, n), and 1 or
+    # 0 (n = 0 or not) with no edge
+    return sum(
+        c * (comb(k - j + edges - 1, k - j) if edges else int(j == k))
+        for j, c in enumerate(poly[: k + 1])
+    )
 
 
 def test_gal_hand_values():
