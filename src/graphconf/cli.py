@@ -21,14 +21,8 @@ from .abrams import (
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import model_complex
-from .nerve import (
-    EmptyComplex,
-    SemiSimplicialSet,
-    collapse_free_faces,
-    dimension,
-    quotient_by_free_action,
-)
+from .model import collapsed_cover, model_complex
+from .nerve import SemiSimplicialSet, collapse_free_faces, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
 # family -> (builder, {parameter: (floor, limit)}); the builder takes the
@@ -92,26 +86,32 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     check of its chain complex.  Collapsing is exact over Z: a free pair is
     a +-1 entry alone in its row (the free face has one coface), a unit
     pivot whose elimination creates no fill, so removing the pair keeps
-    every Betti number and torsion coefficient.  ``ChainComplex`` checks
-    d^2 = 0 on the collapsed complex it reduces.  F-vector, dimension,
-    components and Euler characteristic are those of the full complex, or
-    of the collapse when ``collapse`` is set.  A collapse can empty the top
-    levels, so the homology is padded with zeros up to that dimension.
+    every Betti number and torsion coefficient, and the number of
+    components.  F-vector, dimension and Euler characteristic are those of
+    the full complex, or of the collapse when ``collapse`` is set.
+
+    The ordered model's reports without ``--collapse`` (``model`` and
+    ``compare``) do not come here: they are ``_collapsed_report`` of
+    ``model.collapsed_cover``, which checks and collapses the orbit nerve
+    and never builds the ordered model.
     """
     s.validate_face_identities()
     small = collapse_free_faces(s)
-    if collapse:
-        s = small
-    try:
-        dim = dimension(s)
-    except EmptyComplex:
-        dim = None
+    return _collapsed_report((small if collapse else s).fvector(), small)
+
+
+def _collapsed_report(fvector, small: SemiSimplicialSet) -> dict:
+    """Report of a model with f-vector ``fvector`` whose homology and
+    components are read off ``small``, a collapse of it.  ``ChainComplex``
+    checks d^2 = 0 on the collapse it reduces.  A collapse can empty the top
+    levels, so the homology is padded with zeros up to the model's
+    dimension."""
     return {
-        "fvector": list(s.fvector()),
-        "dimension": dim,
-        "euler": s.euler_characteristic(),
-        **_padded_homology(chain_complex(small), len(s.labels)),
-        "components": len(connected_components(s)) if s.size(0) else 0,
+        "fvector": list(fvector),
+        "dimension": len(fvector) - 1 if fvector and fvector[0] else None,
+        "euler": sum((-1) ** n * size for n, size in enumerate(fvector)),
+        **_padded_homology(chain_complex(small), len(fvector)),
+        "components": len(connected_components(small)),
     }
 
 
@@ -162,8 +162,11 @@ def cmd_model(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=args.quotient)
-    return _report_of_complex(s, collapse=args.collapse)
+    if args.quotient or args.collapse:
+        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=args.quotient)
+        return _report_of_complex(s, collapse=args.collapse)
+    # the report reads neither chain order nor labels
+    return _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
 
 
 def _group_report(s: SemiSimplicialSet) -> dict:
@@ -208,7 +211,7 @@ def cmd_compare(args) -> dict:
     fine = gr.subdivide(g, n)
     conditions = check_abrams_conditions(fine, args.k)
     abrams_report = _abrams_report(abrams_complex(fine, args.k))
-    model_report = _report_of_complex(model_complex(g, args.k, drop_leaves=args.remove_leaves))
+    model_report = _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
     # the cross-check passes only on a subdivision where Abrams' complex is
     # homotopy-correct, and only if the whole homology agrees
     match = (

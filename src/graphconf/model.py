@@ -2,7 +2,8 @@
 
 This is the glue the CLI and tests use: it builds the nerve of the orbit
 category C/S_k of the face category C of configuration cells, and from it
-the ordered or the unordered model, optionally removing leaves first.
+the ordered or the unordered model, optionally removing leaves first, or,
+for the ordered model's homology, a collapse of it.
 
 The unordered model is the nerve of C/S_k, which ``build_nerve`` builds
 from the orbit category: S_k acts freely on configuration cells, so
@@ -21,6 +22,26 @@ The ordered model, nerve(C), is the k!-sheeted cover of that nerve
 (``ordered_nerve``): every ordered chain is a permutation applied to one
 of those lifts, so its faces are index arithmetic on the orbit nerve's,
 and no configuration cell, face category or ordered composite is made.
+Chain (c, sigma), sigma applied to orbit chain c's lift, has faces
+d_0 = (f_0, sigma o lam_c) and d_b = (f_b, sigma) for b >= 1, lam_c the
+lift of c's second object (``orbit_cover``).
+
+A covering lifts the star of every cell isomorphically, and that is what
+the homology reports use (``collapsed_cover``).  The incidences of a
+chain (t, s) of the cover with the chains above it are the lifts of
+those of t in the orbit nerve: an incidence of t as face b of c lifts to
+the one incidence at (c, s), or at (c, s o lam_c^-1) when b = 0.  So if
+t is a free face of c, occurring once in it and in no other chain still
+there, each (t, s) is a free face of exactly one lift of c, the k! pairs
+are disjoint, and they are removed at once; what stays is again the
+cover of what stays below.  Each step of the orbit nerve's free-face
+collapse thus lifts to k! elementary collapses of the ordered model, and
+the cover of the collapsed orbit nerve is a collapse of the ordered
+model, found by a scan of a complex k! times smaller.  Its homology and
+components are the ordered model's.  It is not the ordered model's own
+``collapse_free_faces``, whose scan follows chain order, so
+``model --collapse``, which prints that collapse's f-vector, and
+``braidgroup``, which reads labels, still build the whole cover.
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
@@ -35,7 +56,14 @@ from operator import add, itemgetter
 
 from . import cells as cl
 from . import graphs as gr
-from .nerve import AcyclicCategory, SemiSimplicialSet, arrow_label, build_nerve, chain_label
+from .errors import InternalError
+from .nerve import (
+    AcyclicCategory,
+    SemiSimplicialSet,
+    arrow_label,
+    build_nerve,
+    collapse_free_faces,
+)
 
 
 def face_category(objs: list) -> AcyclicCategory:
@@ -285,20 +313,124 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
     return build_nerve(OrbitCategory(canon))
 
 
+def orbit_cover(g: gr.Graph, k: int) -> tuple:
+    """What the ordered model is built from as the k!-sheeted cover of the
+    orbit nerve: (cat, orbit, perms, right).
+
+    ``cat`` is the orbit category on the canonical cells of (g, k), and
+    ``orbit`` its nerve with every chain c of level n >= 1 labelled by
+    lam_c, the rank of the lift of its second object.  An arrow's is its
+    target's lift; a longer chain's is its last face's, which has the same
+    second object.  Level 0, which has no second object, is labelled by 0.
+    ``perms`` lists the permutations of range(k) in lexicographic order, so
+    the identity has rank 0, and ``right[b][a]`` is the rank of
+    perms[a] o perms[b].  An empty nerve comes with no permutation, so no
+    k! table is made where no cell fits.
+    """
+    cat = OrbitCategory(cl.canonical_cells(g, k))
+    nerve = build_nerve(cat)
+    if not nerve.labels:
+        return cat, nerve, [], []
+    perms = list(permutations(range(k)))
+    rank = {p: i for i, p in enumerate(perms)}
+    right = [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
+    lams = [[0] * len(cat.objects), [rank[cat.lift(m[1])] for m in cat.arrows]]
+    for level in nerve.faces[2:]:
+        lams.append(list(map(lams[-1].__getitem__, [fs[-1] for fs in level])))
+    return cat, SemiSimplicialSet(lams[: len(nerve.labels)], nerve.faces), perms, right
+
+
+def validate_cover(orbit: SemiSimplicialSet, right: list) -> None:
+    """Check that ``cover(orbit, right)`` satisfies the face identities, with
+    no chain of the cover made: ``orbit``'s own identities, and on every
+    chain c of level n >= 2, with faces f_0 .. f_n, the cocycle conditions
+
+    - lam_{f_b} = lam_c for 2 <= b <= n;
+    - lam_{f_1} = lam_c o lam_{f_0}, which is ``right[lam_{f_0}][lam_c]``.
+
+    The cover's faces are D_0(c, s) = (f_0, s o lam_c) and D_b(c, s) =
+    (f_b, s) for b >= 1, and it satisfies d_a d_b = d_{b-1} d_a (a < b)
+    exactly when these and the orbit identities hold:
+
+    - a >= 1: both sides keep s, so D_a D_b (c, s) = ((f_b)_a, s) and
+      D_{b-1} D_a (c, s) = ((f_a)_{b-1}, s), equal iff the orbit identity
+      holds;
+    - a = 0 < 2 <= b: D_0 D_b (c, s) = ((f_b)_0, s o lam_{f_b}) and
+      D_{b-1} D_0 (c, s) = ((f_0)_{b-1}, s o lam_c), as b - 1 >= 1: the
+      orbit identity and lam_{f_b} = lam_c;
+    - (a, b) = (0, 1): D_0 D_1 (c, s) = ((f_1)_0, s o lam_{f_1}) and
+      D_0 D_0 (c, s) = ((f_0)_0, s o lam_c o lam_{f_0}): the orbit identity
+      and lam_{f_1} = lam_c o lam_{f_0}.
+
+    Each condition is read at one s, as composing with s is injective.  The
+    cover's faces have the arity of ``orbit``'s and are in range exactly
+    when those are, so its whole check passes exactly when this one does.
+    Any failure raises ``InternalError``.
+    """
+    orbit.validate_face_identities()
+    lams = orbit.labels
+    for n in range(2, len(lams)):
+        lam, lower, level = lams[n], lams[n - 1], orbit.faces[n]
+        for b in range(1, n + 1):
+            got = [lower[fs[b]] for fs in level]
+            want = lam if b > 1 else [right[lower[fs[0]]][c] for fs, c in zip(level, lam)]
+            if got != want:
+                idx = next(x for x, (u, v) in enumerate(zip(got, want)) if u != v)
+                raise InternalError(f"lift cocycle fails at dim {n} chain {idx} (face {b})")
+
+
+def cover(orbit: SemiSimplicialSet, right: list) -> SemiSimplicialSet:
+    """The k!-sheeted cover of ``orbit``, a sub-complex of the orbit nerve
+    labelled by lam as ``orbit_cover`` labels it: chain (c, i), perms[i]
+    applied to chain c's lift with a canonical bottom cell, at index
+    c * k! + i, labelled by that index.  Its faces are
+    d_0 = f_0 * k! + ``right[lam_c][i]`` and d_b = f_b * k! + i (b >= 1).
+    Nothing is sorted, so the chains are not in the ordered model's order.
+    """
+    width = len(right)
+    faces = [[] for _ in orbit.faces[:1]]
+    for lam, level in zip(orbit.labels[1:], orbit.faces[1:]):
+        lifted = []
+        for lam_c, (f0, *rest) in zip(lam, level):
+            lifted.extend(
+                zip(
+                    [f0 * width + i for i in right[lam_c]],
+                    *[range(f * width, f * width + width) for f in rest],
+                )
+            )
+        faces.append(lifted)
+    return SemiSimplicialSet([range(len(level) * width) for level in orbit.labels], faces)
+
+
+def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
+    """(fvector, small): the ordered model's f-vector, and a collapse of it
+    by free faces, the cover of the orbit nerve's (see the module
+    docstring), with leaves removed first if ``drop_leaves``.
+
+    The face identities of the whole ordered model are checked on the orbit
+    nerve (``validate_cover``), and neither the ordered model nor its
+    labels are made.  What reads neither order nor labels, the homology
+    reports, needs no more.
+    """
+    if drop_leaves:
+        g = gr.remove_leaves(g)
+    _, orbit, _, right = orbit_cover(g, k)
+    validate_cover(orbit, right)
+    return [len(right) * n for n in orbit.fvector()], cover(collapse_free_faces(orbit), right)
+
+
 def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     """The ordered model, the nerve of the face category, as the k!-sheeted
     cover of the orbit nerve: labels, chain order and faces are those of
     ``build_nerve(face_category(configuration_cells(g, k)))``, and no
     configuration cell, face category or ordered composite is made.
 
-    S_k acts freely on ordered chains, so each is sigma . c^ for one
-    permutation sigma and one orbit chain c, held as its lift c^ with a
-    canonical bottom cell.  Each orbit chain carries lam_c, the lift of its
-    second object (an arrow's target; a longer chain's last face's), and
-    its last arrow mu_c . alpha_c, alpha_c an arrow with a canonical source,
+    Each ordered chain is sigma . c^ for one permutation sigma and one orbit
+    chain c, held as its lift c^ with a canonical bottom cell, and
+    d_0(sigma . c^) = (sigma o lam_c) . f_0^ and d_i(sigma . c^) =
+    sigma . f_i^ for i >= 1 (``orbit_cover``, the module docstring).  Its
+    last arrow is mu_c . alpha_c, alpha_c an arrow with a canonical source,
     read through d_0: alpha_c = alpha_{f_0} and mu_c = lam_c o mu_{f_0}.
-    Then d_0(sigma . c^) = (sigma o lam_c) . f_0^ and d_i(sigma . c^) =
-    sigma . f_i^ for i >= 1.
 
     Level 0 is every member of every orbit, sorted by its key.  Level 1 is
     each member's arrows in that order, each member's sorted by (target
@@ -308,16 +440,11 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     that arrow's position in the list out of the parent's end: the nerve's
     lexicographic order, placed with no sort and no lookup.
     """
-    cat = OrbitCategory(cl.canonical_cells(g, k))
-    orbit = build_nerve(cat).faces  # its labels are not read
-    if not orbit:
+    cat, orbit, perms, right = orbit_cover(g, k)
+    if not orbit.labels:
         return SemiSimplicialSet([], [])
-    perms = list(permutations(range(k)))  # lexicographic: the identity is rank 0
-    rank = {p: i for i, p in enumerate(perms)}
+    lams, orbit = orbit.labels, orbit.faces
     width = len(perms)
-    # right[b][a]: the rank of perms[a] o perms[b]
-    right = [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
-
     # the cover index of sigma . x, for x an object or chain of the orbit
     # nerve, is x * width + rank(sigma); pos maps it to the ordered position
     members = [cat.member(r, p) for r in range(len(cat.objects)) for p in perms]
@@ -334,7 +461,7 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     # index of t's canonical cell, the rank of t's lift, and d
     moves = [[] for _ in cat.objects]
     for a, m in enumerate(cat.arrows):
-        moves[m[0]].append((a, cat.arrow_faces(m)[0] * width, rank[cat.lift(m[1])], m[2]))
+        moves[m[0]].append((a, cat.arrow_faces(m)[0] * width, lams[1][a], m[2]))
     inverse = [tuple(sorted(range(k), key=p.__getitem__)) for p in perms]
     bars = ["|" + label for label in objects]
     data_label = cache(cl.data_label)
@@ -367,10 +494,9 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     labels.append(arrow_labels)
     faces.append(arrow_faces)
 
-    # per orbit chain: lam_c and mu_c as ranks, and alpha_c as an orbit arrow
-    lam = [lt for ms in moves for _, _, lt, _ in ms]  # cat.arrows lists sources in order
-    mu = [0] * len(lam)
-    last = list(range(len(lam)))
+    # per orbit chain: mu_c as a rank, and alpha_c as an orbit arrow
+    mu = [0] * len(cat.arrows)
+    last = list(range(len(cat.arrows)))
     # by cover index: ordered positions and object-path labels
     pos = pos1
     paths = [f"{objects[arrow_faces[p][1]]}{bars[arrow_faces[p][0]]}" for p in pos]
@@ -378,16 +504,14 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     # the longer chains, most of the model, need none of these
     del cat, members, order, moves
 
-    for level in orbit[2:]:
+    for lam, level in zip(lams[2:], orbit[2:]):
         start = list(accumulate([degree[e] for e in ends], initial=0))
         first = list(map(start.__getitem__, pos))  # by cover index
         new_pos, new_paths, new_faces = [], [], []
-        new_lam, new_mu, new_last = [], [], []
-        for f0, *inner, fn in level:
-            lam_c = lam[fn]
+        new_mu, new_last = [], []
+        for lam_c, (f0, *inner, fn) in zip(lam, level):
             mu_c = right[mu[f0]][lam_c]
             a = last[f0]
-            new_lam.append(lam_c)
             new_mu.append(mu_c)
             new_last.append(a)
             lo, hi = fn * width, fn * width + width
@@ -403,7 +527,7 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
         labels.append([new_paths[i] for i in inv])
         faces.append([new_faces[i] for i in inv])
         ends = [ends[fs[0]] for fs in faces[-1]]
-        pos, paths, lam, mu, last = new_pos, new_paths, new_lam, new_mu, new_last
+        pos, paths, mu, last = new_pos, new_paths, new_mu, new_last
     return SemiSimplicialSet(labels, faces)
 
 

@@ -391,7 +391,8 @@ def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
 
     Neither the scan nor ``restrict`` reads how many faces a chain has, so
     a cube complex stored the same way (``abrams.free_face_collapse``) collapses
-    here too.
+    here too.  Nor do they read labels, which ``restrict`` carries along:
+    ``model.collapsed_cover`` labels the orbit nerve by what its lift needs.
     """
     alive =[[True] * len(level) for level in s.labels]
     # cofaces[n][t]: the (n+1)-chains having t as a face, once per incidence

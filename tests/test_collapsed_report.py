@@ -1,10 +1,10 @@
 """Model reports computed on the free-face collapse.
 
 ``cli._report_of_complex`` checks the full complex by its face identities
-and computes homology on ``collapse_free_faces`` of it.  Its Betti numbers,
-torsion and Euler characteristic must equal those of the uncollapsed chain
-complex, and its guard must catch every corruption that the d^2 check of
-the uncollapsed chain complex catches.
+and computes homology and components on ``collapse_free_faces`` of it.  Its
+Betti numbers, torsion, Euler characteristic and components must equal
+those of the uncollapsed complex, and its guard must catch every
+corruption that the d^2 check of the uncollapsed chain complex catches.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from graphconf import cli
 from graphconf import graphs as gr
 from graphconf.errors import InputError, InternalError, NotAComplex
-from graphconf.homology import chain_complex, homology
+from graphconf.homology import chain_complex, connected_components, homology
 from graphconf.model import model_complex
 from graphconf.nerve import SemiSimplicialSet, collapse_free_faces, quotient_by_free_action
 from graphconf.reduced import build_reduced, reduced_symmetric_action
@@ -33,6 +33,7 @@ def assert_report_matches_uncollapsed(s):
     assert report["torsion"] == ref.torsion
     assert report["euler"] == cc.euler_characteristic()
     assert report["fvector"] == list(s.fvector())
+    assert report["components"] == len(connected_components(s))
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,11 +56,13 @@ def test_k4_3_report_pads_the_level_the_collapse_empties():
 
 
 def run_model_on(s, graph_path):
-    """Exit code and stderr of `model` when the model built is ``s``."""
+    """Exit code and stderr of `model --collapse` when the model built is
+    ``s``: plain ordered `model` reports from ``model.collapsed_cover`` and
+    builds no complex that ``model_complex`` could stand in for."""
     out, err = StringIO(), StringIO()
     with mock.patch.object(cli, "model_complex", lambda *a, **kw: s):
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["model", "--graph", graph_path, "-k", "2"])
+            code = cli.main(["model", "--graph", graph_path, "-k", "2", "--collapse"])
     return code, err.getvalue()
 
 

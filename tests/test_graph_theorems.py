@@ -10,13 +10,24 @@ open edge ends:
 - H_1 is torsion-free on a planar graph (Ko-Park, "Characteristics of
   graph braid groups", DCG 2012), and every graph on at most four vertices
   is planar.
+
+And on single graphs, each the report the CLI prints:
+
+- Ko-Park: ordered Conf_2 of K5 and of K3,3 are closed orientable
+  surfaces, and UConf_2 of each a closed nonorientable one, with Z/2 in
+  H_1.
+- Chettih-Luetgehetmann ("The homology of configuration spaces of trees
+  with loops", AGT 2018): Conf_k of a tree with loops has torsion-free
+  homology.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from graphconf import cli
 from graphconf import graphs as gr
 from graphconf.homology import chain_complex, homology
-from graphconf.model import model_complex
+from graphconf.model import collapsed_cover, model_complex
+from test_orbit_nerve import k33
 
 
 @st.composite
@@ -52,3 +63,38 @@ def test_homology_vanishes_above_essential_bound_and_h1_torsion_free(graph, k, q
         assert res.betti[i] == 0 and res.torsion[i] == [], (i, res)
     if len(res.torsion) > 1:
         assert res.torsion[1] == []
+
+
+def k5():
+    verts = [f"v{i}" for i in range(5)]
+    return gr.build_graph(
+        verts, [(f"e{u}{v}", u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+    )
+
+
+def ordered_report(g, k):
+    return cli._collapsed_report(*collapsed_cover(g, k))
+
+
+def test_ordered_two_point_spaces_of_k5_and_k33_are_orientable_surfaces():
+    # genus 6 and 4: beta_2 = 1 and no torsion
+    for g, betti in [(k5(), [1, 12, 1]), (k33(), [1, 8, 1])]:
+        report = ordered_report(g, 2)
+        assert report["betti"] == betti
+        assert report["torsion"] == [[], [], []]
+
+
+def test_unordered_two_point_spaces_of_k5_and_k33_have_two_torsion():
+    # closed nonorientable surfaces: H_1 = Z^6 + Z/2 and Z^4 + Z/2
+    for g, betti in [(k5(), [1, 6, 0]), (k33(), [1, 4, 0])]:
+        report = cli._report_of_complex(model_complex(g, 2, quotient=True))
+        assert report["betti"] == betti
+        assert report["torsion"] == [[], [2], []]
+
+
+def test_tree_with_loops_at_k4_has_torsion_free_homology():
+    # `gen xb -x 1 -l 2 -q 2`: two hubs on one edge, each with two loops
+    report = ordered_report(gr.double_hub_graph(1, 0, 2, 0, 2), 4)
+    assert report["betti"] == [1, 1031, 1750]
+    assert report["euler"] == 720
+    assert report["torsion"] == [[], [], []]
