@@ -52,7 +52,7 @@ reference for ``ordered_nerve``.
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, permutations
-from operator import add, itemgetter
+from operator import add
 
 from . import cells as cl
 from . import graphs as gr
@@ -157,11 +157,34 @@ class OrbitCategory:
     quotient of the ordered nerve.  Chains are the lifts with a canonical
     bottom cell.
 
-    The after() lists of one orbit are reorderings of its canonical cell's
-    list, so each arrow keeps its position in that list (its id) when it
-    moves.  ``shift`` reads through the ids where the arrows after a chain
-    sit in the list at the end of the chain's d_0, which the nerve holds as
-    its lift with a canonical bottom cell.
+    ``build_nerve`` places d_0 of a chain ending at t at its new arrow's
+    position in after(t), in the list at d_0's end e, another member of
+    t's orbit.  Moving a list within an orbit can reorder it (768 pairs of
+    members do on K4 k=3), but not from t to e.  Let the chain be
+    x_0 -> ... -> x_n = t with x_0 canonical, tau take x_1 to the least
+    cell of its orbit (x_1 = t if n = 1), and e = tau . t.  Then tau keeps
+    the order (target key, datum) of after(t):
+
+    1. A coordinate only leaves a vertex going up a chain, so t's vertex
+       coordinates are vertex coordinates of x_0 and x_1, at the same
+       vertices.  A least cell numbers its vertex coordinates 0..j-1 by
+       ascending vertex id, as x_0 and tau . x_1 both do, so tau is
+       increasing on t's vertex coordinates.
+    2. Two arrows out of t, to y and y', agree on t's edge coordinates.  So
+       the entries of y and y' first differ at a vertex coordinate of t,
+       and by (1) tau keeps which coordinate that is.
+    3. If the entries are equal, the blocks differ only where a vertex
+       coordinate i of t at v enters a loop at v that already carries a
+       coordinate a of t: at the front in one arrow, at the back in the
+       other, as an end of any other edge admits one placement.  At v, a
+       would share v with i, so a lies on the loop in x_0 and in x_1, and
+       in both least cells a follows every vertex coordinate: i < a and
+       tau(i) < tau(a).
+    4. If the targets are equal, the data differ only at vertex
+       coordinates of t, where tau is increasing.
+
+    As tau is a bijection from after(t) onto after(e), it keeps every
+    position.  The 768 pairs fail (1), and no d_0 reaches them.
     """
 
     def __init__(self, canon: list):
@@ -176,15 +199,11 @@ class OrbitCategory:
         for r in range(len(canon)):
             self.member(r, identity)
         self.objects = self._labels[: len(canon)]
-        self.object_cells = range(len(canon))
         canon_of = {c.entries: r for r, c in enumerate(canon)}
         # _out[t]: after() of a morphism into member t, which lists the
-        # arrows out of t's canonical cell moved to t; _ids[t][j]: the
-        # position in that canonical list of arrow j, and _slots[t] its
-        # inverse.  A canonical cell's lift is the identity, so its list is
-        # the one of its orbit's lifts and its ids ascend.
-        self._out = {r: [] for r in self.object_cells}
-        self._ids, self._slots = {}, {}
+        # arrows out of t's canonical cell moved to t.  A canonical cell's
+        # lift is the identity, so its list is the one of its orbit's lifts.
+        self._out = {r: [] for r in range(len(canon))}
         self._place = {}  # arrow -> its position in the after() list of its source
         for d, c in enumerate(canon):
             for (entries, blocks), data in cl.faces_into(c):
@@ -194,12 +213,10 @@ class OrbitCategory:
                 sigma = tuple(sorted(range(len(lift)), key=lift.__getitem__))
                 m = (canon_of[key], self.member(d, sigma), cl.relocate(sigma, data))
                 self._out[m[0]].append(m)
-        for r in self.object_cells:
-            arrows = sorted(self._out[r], key=self._order)
-            self._listed(r, arrows, range(len(arrows)))
-        self.arrows = [m for r in self.object_cells for m in self._out[r]]
+        for r in range(len(canon)):
+            self._listed(r, sorted(self._out[r], key=self._order))
+        self.arrows = [m for r in range(len(canon)) for m in self._out[r]]
         self.position = self._place.__getitem__
-        self.target = itemgetter(1)
 
     def member(self, r: int, lift: tuple) -> int:
         """The id of the member ``act_on_cell(lift, canon[r])``, made with
@@ -228,15 +245,11 @@ class OrbitCategory:
         their target, then by datum."""
         return (self._keys[m[1]], m[2])
 
-    def _listed(self, t: int, arrows: list, ids) -> list:
-        """Record ``arrows`` as member t's after() list, with their positions
-        and their ``ids`` in the canonical cell's list."""
+    def _listed(self, t: int, arrows: list) -> list:
+        """Record ``arrows`` as member t's after() list, with their positions."""
         self._out[t] = arrows
-        self._ids[t] = ids
-        slots = self._slots[t] = [0] * len(ids)
-        for j, (q, m) in enumerate(zip(ids, arrows)):
+        for j, m in enumerate(arrows):
             self._place[m] = j
-            slots[q] = j
         return arrows
 
     def _after_cell(self, t: int) -> list:
@@ -249,8 +262,8 @@ class OrbitCategory:
                  cl.relocate(lift, data))
                 for _, u, data in self._out[canon[t]]
             ]
-            ids = sorted(range(len(moved)), key=lambda q: self._order(moved[q]))
-            got = self._listed(t, [moved[q] for q in ids], ids)
+            moved.sort(key=self._order)
+            got = self._listed(t, moved)
         return got
 
     def after(self, m: tuple) -> list:
@@ -266,15 +279,6 @@ class OrbitCategory:
 
     def lift(self, t: int) -> tuple:
         return self._lift[t]
-
-    def shift(self, t: int, e: int) -> list:
-        """[j]: the position in member e's after() list of arrow j of member
-        t's, moved to e (by the one permutation taking t to e): both lists
-        are the moves of one canonical list, so it keeps its id there."""
-        self._after_cell(t)
-        self._after_cell(e)
-        slots = self._slots[e]
-        return [slots[q] for q in self._ids[t]]
 
     def top_label(self, m: tuple) -> str:
         return self._labels[m[1]]

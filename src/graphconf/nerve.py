@@ -17,9 +17,10 @@ nerve, which the two-point model filters.  It produces each level in
 lexicographic order by extending the level below in order, so nothing is
 sorted and the children of a chain are consecutive.  So every face of a
 new chain is found by arithmetic on its parent's faces and a position in an
-arrow list, with no lookup of a chain by its arrows; a chain's last face is
-the chain it extends, and its label is that chain's label plus its new top
-object.
+arrow list, with no lookup of a chain by its arrows: the last face is the
+parent, the one before extends the parent's by a composite, and each other
+face, d_0 included, extends the parent's face of that number by the new
+arrow.  A chain's label is its parent's plus its new top object.
 """
 
 from dataclasses import dataclass
@@ -56,25 +57,18 @@ class AcyclicCategory:
         for i, (s, _, _) in enumerate(self.morphisms):
             self.out_of[s].append(i)
         self._compose_cache: dict[tuple[int, int], int] = {}
-        # ``build_nerve``'s view, in which an arrow is a morphism index and
-        # an object's cell is the object itself.  The arrows after a chain
-        # depend on its end only, so its d_0, which ends where it does, finds
-        # them where they are: ``shift`` is the identity.  The nerve calls
-        # these per chain, so each is a C-level lookup.
+        # ``build_nerve``'s view, in which an arrow is a morphism index.  The
+        # nerve calls these per chain, so each is a C-level lookup.
         labels = self._labels = [self.object_label(i) for i in range(len(self.objects))]
         self.arrows = range(len(self.morphisms))
-        self.object_cells = range(len(self.objects))
         self.arrow_faces = [(t, s) for s, t, _ in self.morphisms].__getitem__
         self.after = [self.out_of[t] for _, t, _ in self.morphisms].__getitem__
-        self.target = [t for _, t, _ in self.morphisms].__getitem__
         self.top_label = [labels[t] for _, t, _ in self.morphisms].__getitem__
         place = [0] * len(self.morphisms)
         for out in self.out_of:
             for j, m in enumerate(out):
                 place[m] = j
         self.position = place.__getitem__
-        stay = [range(len(out)) for out in self.out_of]
-        self.shift = lambda t, e: stay[t]
 
     def compose(self, m2: int, m1: int) -> int:
         """Index of the composite of morphism m1 followed by m2."""
@@ -223,14 +217,13 @@ def build_nerve(cat) -> SemiSimplicialSet:
     """Semi-simplicial set of nondegenerate chains of the category: an
     ``AcyclicCategory`` or the orbit category ``model.OrbitCategory``.
 
-    Level 0 is ``objects``, labelled by ``object_label(i)``; object i ends
-    at the cell ``object_cells[i]``.  Level 1 is ``arrows``, each arrow as
-    chains hold it, labelled by ``morphism_label(a)``, with faces
-    ``arrow_faces(a)`` (the positions of d_0 and d_1 in level 0).  A chain
-    ending in arrow a ends at the cell ``target(a)``, is extended by each
-    arrow of ``after(a)``, the arrows out of that cell, and
-    ``top_label(a)`` labels the cell.  An arrow x sits at ``position(x)`` in
-    the list of the arrows out of its source.
+    Level 0 is ``objects``, labelled by ``object_label(i)``.  Level 1 is
+    ``arrows``, each arrow as chains hold it, labelled by
+    ``morphism_label(a)``, with faces ``arrow_faces(a)`` (the positions of
+    d_0 and d_1 in level 0).  A chain ending in arrow a is extended by each
+    arrow of ``after(a)``, the arrows out of a's target, and
+    ``top_label(a)`` labels that target.  An arrow x sits at
+    ``position(x)`` in the list of the arrows out of its source.
 
     Each level comes out in lexicographic order with no sort.  Level 1 is
     ``arrows``, which ascends and lists each object's arrows together.  If
@@ -248,12 +241,12 @@ def build_nerve(cat) -> SemiSimplicialSet:
     - d_{n+1} is ch itself;
     - d_n drops a's source, so it extends f_n by ``compose(m, a)``, which
       leaves a's source: ``start[f_n] + position(compose(m, a))``;
-    - d_i for 0 < i < n drops an object below a's target, so f_i ends
-      where ch does and has the same ``after`` list: ``start[f_i] + j``;
-    - d_0 extends f_0 by m moved to f_0's end, at position
-      ``shift(target(a), e)[j]`` of that end e's list.  In a category a
-      chain's d_0 ends where it does and the move is the identity; in the
-      orbit category d_0 is moved to its lift with a canonical bottom cell.
+    - d_i for 0 <= i < n drops an object below a's target, so it extends
+      f_i by m, at m's position in the list after f_i: ``start[f_i] + j``.
+      In an ``AcyclicCategory`` f_i ends where ch does, d_0 included, so
+      the lists are one.  In the orbit category so does f_i for i >= 1,
+      and ``model.OrbitCategory`` proves that moving ch's list to the end
+      of f_0, a member of the same orbit, keeps every position.
 
     Composition checks closure: ``AcyclicCategory.compose`` raises
     ``InvalidCategory`` for a composite that is not stored.  Only the last
@@ -270,29 +263,26 @@ def build_nerve(cat) -> SemiSimplicialSet:
     rows = [cat.arrow_faces(a) for a in lasts]
     labels = [obj_labels, [cat.morphism_label(a) for a in lasts]]
     faces = [[], rows]
-    after, compose, position = cat.after, cat.compose, cat.position
-    shift, target, top_label = cat.shift, cat.target, cat.top_label
+    after, compose, position, top_label = cat.after, cat.compose, cat.position, cat.top_label
     # paths[c]: the chain label of chain c's objects, bottom first
     paths = [chain_label((obj_labels[s], top_label(a))) for a, (_, s) in zip(lasts, rows)]
     # of the level below: start[f], the position of chain f's first child
-    # in the level being extended, and ends[f], the cell it ends at
+    # in the level being extended
     start = [0] * len(obj_labels)
     for i in range(len(rows) - 1, -1, -1):
         start[rows[i][1]] = i
-    ends = cat.object_cells
 
     while True:
         nxt, new_faces, new_paths, new_start = [], [], [], []
-        for c, (a, (f0, *inner, fn), path) in enumerate(zip(lasts, rows, paths)):
+        for c, (a, (*fs, fn), path) in enumerate(zip(lasts, rows, paths)):
             new_start.append(len(nxt))
             ms = after(a)
             if not ms:
                 continue
-            d0, dn, width = start[f0], start[fn], len(ms)
+            dn, width = start[fn], len(ms)
             new_faces.extend(
                 zip(
-                    [d0 + j for j in shift(target(a), ends[f0])],
-                    *[range(start[f], start[f] + width) for f in inner],
+                    *[range(start[f], start[f] + width) for f in fs],
                     [dn + position(compose(m, a)) for m in ms],
                     repeat(c, width),
                 )
@@ -304,7 +294,6 @@ def build_nerve(cat) -> SemiSimplicialSet:
             break
         labels.append(new_paths)
         faces.append(new_faces)
-        ends = [target(a) for a in lasts]
         start, lasts, rows, paths = new_start, nxt, new_faces, new_paths
     return SemiSimplicialSet(labels, faces)
 

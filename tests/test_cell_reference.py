@@ -79,7 +79,9 @@ def assert_canonical_matches(g, k):
     # position[r]: the place of the least cell objs[r] among the canonical cells
     position = {r: p for p, r in enumerate(sorted({r for r, _ in expected}))}
     assert canon == [objs[r] for r in position]
-    assert list(cat.object_cells) == list(range(len(canon)))
+    # member r is canonical cell r, with the identity lift
+    assert cat._canon[: len(canon)] == list(range(len(canon)))
+    assert cat._lift[: len(canon)] == [tuple(range(k))] * len(canon)
     members = []
     for i, (r, lift) in enumerate(expected):
         # each cell is canonicalised from its own entries and blocks

@@ -9,7 +9,7 @@ from graphconf import graphs as gr
 from graphconf import model
 from graphconf.homology import chain_complex, homology
 from graphconf.model import OrbitCategory, build_model, model_complex, symmetric_action
-from graphconf.nerve import quotient_by_free_action
+from graphconf.nerve import build_nerve, quotient_by_free_action
 
 
 def k4():
@@ -92,32 +92,72 @@ def test_orbit_category_after_lists_ascend(graph, k):
         assert all(m[0] == t for m in arrows)
 
 
-@pytest.mark.parametrize(
-    "graph, k",
-    [(gr.theta_graph(), 3), (k4(), 3), (k33(), 2)],
-    ids=["theta-3", "k4-3", "k33-2"],
-)
-def test_orbit_category_shift_moves_arrows(graph, k):
-    # shift(t, e)[j] is where arrow j after member t lands in e's list once
-    # moved by the permutation taking t to e.  On these graphs the nerve
-    # only asks for shifts that keep every position, so this test, not the
-    # nerve's, sees the pairs of members whose lists are ordered differently.
+def orbit_members(graph, k):
+    """The orbit category on (graph, k), {id: cell} of every member of every
+    orbit, and its inverse."""
     canon = cl.canonical_cells(graph, k)
     cat = OrbitCategory(canon)
     cells = all_members(cat, canon, k)
-    index = {c: m for m, c in cells.items()}
-    reordered = 0
-    for t, c in cells.items():
-        for tau in permutations(range(k)):
-            e = index[cl.act_on_cell(tau, c)]
-            target = cat.after((None, e, None))
-            moved = [
-                (e, index[cl.act_on_cell(tau, cells[u])], cl.relocate(tau, data))
-                for _, u, data in cat.after((None, t, None))
+    return cat, cells, {c: m for m, c in cells.items()}
+
+
+def moved_positions(cat, cells, index, t, tau):
+    """[j]: where arrow j of member t's after() list lands in the list of
+    tau . t once moved by tau, found from cells, not from the category."""
+    e = index[cl.act_on_cell(tau, cells[t])]
+    target = cat.after((None, e, None))
+    moved = [
+        (e, index[cl.act_on_cell(tau, cells[u])], cl.relocate(tau, data))
+        for _, u, data in cat.after((None, t, None))
+    ]
+    return [target.index(m) for m in moved]
+
+
+def assert_d0_keeps_positions(cat, cells, index, k):
+    """For every chain of the orbit nerve, ending at t with d_0 ending at e,
+    moving after(t) to e keeps every position: the rule ``build_nerve``
+    uses for d_0, which ``OrbitCategory`` proves."""
+    nerve = build_nerve(cat)
+    perms = list(permutations(range(k)))
+    ends = range(len(cat.objects))  # where each chain of the level below ends
+    lasts = list(cat.arrows)  # the last arrow of each chain of the level
+    for n, level in enumerate(nerve.faces[1:], 1):
+        if n > 1:
+            # a chain extends its last face by the arrow at its rank among
+            # that face's children, which are consecutive
+            first = {}
+            lasts = [
+                cat.after(lasts[fs[-1]])[c - first.setdefault(fs[-1], c)]
+                for c, fs in enumerate(level)
             ]
-            expected = [target.index(m) for m in moved]
-            assert list(cat.shift(t, e)) == expected
-            reordered += expected != sorted(expected)
+        for m, fs in zip(lasts, level, strict=True):
+            t, e = m[1], ends[fs[0]]
+            tau = next(p for p in perms if cl.act_on_cell(p, cells[t]) == cells[e])
+            positions = moved_positions(cat, cells, index, t, tau)
+            assert positions == list(range(len(positions)))
+        ends = [m[1] for m in lasts]
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [
+        (gr.theta_graph(), 3),
+        (k4(), 3),
+        (k33(), 2),
+        (gr.double_hub_graph(1, 0, 2, 0, 2), 3),
+    ],
+    ids=["theta-3", "k4-3", "k33-2", "xb-loops-3"],
+)
+def test_orbit_nerve_d0_keeps_positions(graph, k):
+    # every d_0 keeps positions, although moving an after() list between
+    # some pairs of members of an orbit reorders it: pairs no d_0 reaches
+    cat, cells, index = orbit_members(graph, k)
+    assert_d0_keeps_positions(cat, cells, index, k)
+    reordered = 0
+    for t in cells:
+        for tau in permutations(range(k)):
+            positions = moved_positions(cat, cells, index, t, tau)
+            reordered += positions != sorted(positions)
     assert reordered
 
 
@@ -159,6 +199,12 @@ def small_multigraphs(draw):
 @given(small_multigraphs(), st.integers(1, 3))
 def test_orbit_nerve_is_quotient_on_random_multigraphs(graph, k):
     assert_quotient_of_ordered(graph, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(), st.integers(1, 3))
+def test_orbit_nerve_d0_keeps_positions_on_random_multigraphs(graph, k):
+    assert_d0_keeps_positions(*orbit_members(graph, k), k)
 
 
 def gal_euler(g, k):
