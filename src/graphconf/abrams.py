@@ -18,17 +18,50 @@ d_i^e d_j^f = d_{j-1}^f d_i^e for i < j, which
 d = sum_p (-1)^(p-1) (d_p^+ - d_p^-), each end pair signed by the number of
 edge factors before it, and the identities imply d^2 = 0 for it.
 
-Homology, as ``compare`` reports it, is computed on the free-face collapse
-(``free_face_collapse``).  That is exact over Z: a free face has one coface and
-occurs in it once, so its row of the boundary holds a single +-1, a unit
-pivot whose elimination creates no fill.  A loop factor's two ends give
-one face that occurs twice in one cube, so it is never free.
+S_k acts freely on the cubes by permuting coordinates, as the factors of a
+cube are pairwise distinct, and the quotient is Abrams' UD_k X.  The
+orbit complex (``abrams_complex(g, k, quotient=True)``) holds one cube c
+per orbit, the one whose factors ascend.  Edge cells sort before vertex
+cells, so c's n edge factors sit at coordinates 0..n-1, in slot order,
+and the other members of the orbit are never made.  Putting end x in
+place of edge j gives a tuple that a relocation rho sorts into the orbit
+face f: rho keeps the other edges in order, puts x after the q vertex
+factors of c below x, and keeps the vertex factors in order, so it
+depends only on (n, j, q).  Each face slot records the rank of rho^-1 in
+``relocations``.
+
+The ordered complex is the k!-sheeted cover of the orbit complex
+(``lift``).  The cube sigma . c, whose coordinate sigma(i) holds c's
+factor i, has at c's slot (j, e) the face (sigma o rho^-1) . f, and lists
+its faces in its own tuple order, which takes c's edges j by ascending
+sigma(j).  ``abrams_complex(g, k)`` is that cover with each level in
+lexicographic order.
+
+A covering lifts the star of every cube isomorphically: an incidence of f
+as face (j, e) of c lifts to exactly one incidence of each lift of f, at
+the lift sigma . c with sigma o rho^-1 its own permutation.  So each lift
+of f has as many cofaces as f, and occurs in them as often.  If f is a
+free face of c, each of its k! lifts is a free face of one lift of c, the
+k! pairs are disjoint, and what stays is again the cover of what stays
+below; ``model``'s module docstring argues the same for the nerve.  So
+the lift of the orbit complex's free-face collapse is a collapse of the
+ordered complex, found by a scan of a complex k! times smaller.  A loop
+factor's two ends give one face that occurs twice in one cube, so it is
+never free, in the orbit complex or in its cover.
+
+Homology, as ``compare`` reports it, is computed on that collapse.  That
+is exact over Z: a free face has one coface and occurs in it once, so its
+row of the boundary holds a single +-1, a unit pivot whose elimination
+creates no fill.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
+from operator import itemgetter
 
-from .errors import NonFreeAction, OpenEdge
+from .errors import InternalError, NonFreeAction, OpenEdge
 from .graphs import Graph, essential_vertices
 from .homology import ChainComplex, face_chain_complex
 from .nerve import SemiSimplicialSet, collapse_free_faces, validate_faces
@@ -42,6 +75,10 @@ class AbramsComplex:
     # faces[n][c]: the 2n faces of cube c of dimension n, indices into
     # dimension n-1, in the order the module docstring gives; faces[0] = []
     faces: list
+    # of the orbit complex: relocations[n][c], per face slot of cube c, the
+    # rank of rho^-1 among the permutations of range(k) in lexicographic
+    # order (the module docstring); relocations[0] = [].  Empty otherwise.
+    relocations: list = field(default_factory=list)
 
     def fvector(self) -> tuple[int, ...]:
         out = [len(level) for level in self.cells]
@@ -96,17 +133,43 @@ def _closure(g: Graph, cell) -> frozenset:
     return frozenset(out)
 
 
-def abrams_complex(g: Graph, k: int) -> AbramsComplex:
-    """All k-tuples of cells with pairwise disjoint closures, by dimension,
-    each dimension in lexicographic order, with every cube's faces by index.
+def _relocation(k: int, n: int, j: int, q: int) -> int:
+    """The rank of rho^-1 for the face of a sorted n-cube that puts an end
+    after q of its vertex factors in place of edge j: rho^-1 takes the
+    face's position n-1+q to j, the positions from j up to it one up, and
+    keeps the rest."""
+    p = tuple(range(j)) + tuple(range(j + 1, n + q)) + (j,) + tuple(range(n + q, k))
+    rank = 0
+    for i, x in enumerate(p):
+        rank = rank * (k - i) + sum(y < x for y in p[i + 1 :])
+    return rank
 
-    Tuples are extended depth-first through the sorted cell list, which
-    yields each dimension in lexicographic order with no sort.  A tuple's
-    code reads the positions of its cells in that list as base-b digits,
-    b the number of cells, so the face that puts end x in place of the
-    edge cell with digit d at position p has code code + (x - d) * b^(k-1-p).
-    The enumeration carries these shifts, minus end then plus end for each
-    edge factor, and one code index per dimension turns them into faces.
+
+def _compositions(k: int) -> tuple:
+    """(perms, right): the permutations of range(k) in lexicographic order,
+    so the identity has rank 0, and ``right(r)[i]``, the rank of
+    perms[i] o perms[r], a row made on first use."""
+    perms = list(permutations(range(k)))
+    rank = {p: i for i, p in enumerate(perms)}
+
+    @cache
+    def right(r: int) -> list:
+        return [rank[tuple(map(p.__getitem__, perms[r]))] for p in perms]
+
+    return perms, right
+
+
+def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
+    """All k-tuples of cells with pairwise disjoint closures, by dimension,
+    each dimension in lexicographic order, with every cube's faces by index;
+    with ``quotient``, the orbit complex: one ascending tuple per orbit, with
+    its relocations (the module docstring).
+
+    A cell's digit is its position in the sorted cell list.  The orbit
+    cubes are the strictly increasing digit tuples, found depth-first by
+    extending each prefix with every larger digit whose closure meets none
+    of the prefix's, which yields each dimension in lexicographic order with
+    no sort.  The ordered complex is their cover (``lift``), sorted.
     """
     if not g.is_closed():
         raise OpenEdge("the discretized model needs a closed graph")
@@ -116,50 +179,169 @@ def abrams_complex(g: Graph, k: int) -> AbramsComplex:
         [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
     )
     digit = {s: d for d, s in enumerate(symbols)}
-    closures = [_closure(g, s) for s in symbols]
-    # ends[d]: digits of the minus and plus end of edge cell d; () for a vertex
+    closures = [sum(1 << digit[c] for c in _closure(g, s)) for s in symbols]
+    # compatible[d]: the digits whose closures miss d's; ends[d]: the digits
+    # of the minus and plus end of edge cell d, () for a vertex
+    compatible = [
+        sum(1 << x for x, other in enumerate(closures) if not other & mine) for mine in closures
+    ]
     ends = [
         tuple(digit[("v", x)] for x in g.edge(s[1]).ends) if s[0] == "e" else ()
         for s in symbols
     ]
-    base = len(symbols)
-    # shifts[p][d]: the code shifts to the faces of digit d at position p
-    shifts = [
-        [tuple((x - d) * base ** (k - 1 - p) for x in xs) for d, xs in enumerate(ends)]
-        for p in range(k)
-    ]
-    cells: list[list] = [[] for _ in range(k + 1)]
-    found: list[list] = [[] for _ in range(k + 1)]  # per dimension: (code, face shifts)
+    # per dimension: the digit tuples, and their digit sets as bit masks
+    found: list[list] = [[] for _ in range(k + 1)]
+    bits: list[list] = [[] for _ in range(k + 1)]
 
-    def extend(prefix, used, code, face_shifts):
+    def extend(prefix, allowed, mask, n):
+        # allowed: the digits above prefix's last whose closures miss all of prefix's
         if len(prefix) == k:
-            cells[len(face_shifts) // 2].append(tuple(prefix))
-            found[len(face_shifts) // 2].append((code, face_shifts))
+            found[n].append(prefix)
+            bits[n].append(mask)
             return
-        shift = shifts[len(prefix)]
-        for d, cs in enumerate(closures):
-            if cs & used:
-                continue
-            prefix.append(symbols[d])
-            extend(prefix, used | cs, code * base + d, face_shifts + shift[d])
-            prefix.pop()
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            d = low.bit_length() - 1
+            extend(prefix + (d,), allowed & compatible[d], mask | low, n + bool(ends[d]))
 
-    extend([], frozenset(), 0, ())
-    while cells and not cells[-1]:
-        cells.pop()
-    faces = [[]] if cells else []
-    for n in range(1, len(cells)):
-        where = {code: i for i, (code, _) in enumerate(found[n - 1])}
-        faces.append([tuple([where[code + s] for s in fs]) for code, fs in found[n]])
-    return AbramsComplex(g, k, cells, faces)
+    extend((), (1 << len(symbols)) - 1, 0, 0)
+    while found and not found[-1]:
+        found.pop()
+    faces, relocations = [[] for _ in found[:1]], [[] for _ in found[:1]]
+    for n in range(1, len(found)):
+        where = {mask: i for i, mask in enumerate(bits[n - 1])}
+        # the relocations of the faces of an n-cube, by edge slot j and q
+        table = [[_relocation(k, n, j, q) for q in range(k - n + 1)] for j in range(n)]
+        level_faces, level_relocations = [], []
+        for cube, mask in zip(found[n], bits[n]):
+            level_faces.append(
+                tuple([where[mask - (1 << d) + (1 << x)] for d in cube[:n] for x in ends[d]])
+            )
+            level_relocations.append(
+                tuple([
+                    table[j][bisect_left(cube, x, n) - n]
+                    for j, d in enumerate(cube[:n])
+                    for x in ends[d]
+                ])
+            )
+        faces.append(level_faces)
+        relocations.append(level_relocations)
+    cells = [[tuple(map(symbols.__getitem__, cube)) for cube in level] for level in found]
+    orbit = AbramsComplex(g, k, cells, faces, relocations)
+    return orbit if quotient else _sorted(lift(orbit))
+
+
+def lift(q: AbramsComplex) -> AbramsComplex:
+    """The k!-sheeted cover of the orbit complex ``q``: cube (c, i), perms[i]
+    applied to cube c, at index c * k! + i, with its faces in its own tuple
+    order (the module docstring).  Nothing is sorted."""
+    if not q.cells:
+        return AbramsComplex(q.graph, q.k, [], [])
+    perms, right = _compositions(q.k)
+    width = len(perms)
+    # perms[i] . c holds c's factor inverse[i][x] at coordinate x
+    inverse = [tuple(sorted(range(q.k), key=p.__getitem__)) for p in perms]
+    cells = [
+        [tuple(map(cube.__getitem__, inv)) for cube in level for inv in inverse]
+        for level in q.cells
+    ]
+    faces = [[]]
+    for n in range(1, len(q.cells)):
+        # order[i] picks c's face slots in the tuple order of perms[i] . c
+        order = [
+            itemgetter(*[2 * j + e for j in sorted(range(n), key=p.__getitem__) for e in (0, 1)])
+            for p in perms
+        ]
+        lifted = []
+        for fs, rs in zip(q.faces[n], q.relocations[n]):
+            # per rank i, the lifted faces in c's slot order
+            rows = zip(*[[f * width + x for x in right(r)] for f, r in zip(fs, rs)])
+            lifted.extend([get(row) for get, row in zip(order, rows)])
+        faces.append(lifted)
+    return AbramsComplex(q.graph, q.k, cells, faces)
+
+
+def _sorted(a: AbramsComplex) -> AbramsComplex:
+    """``a`` with each level in lexicographic order."""
+    keep = [sorted(range(len(level)), key=level.__getitem__) for level in a.cells]
+    s = SemiSimplicialSet(a.cells, a.faces).restrict(keep)
+    return AbramsComplex(a.graph, a.k, s.labels, s.faces)
+
+
+def validate_cover(q: AbramsComplex) -> None:
+    """Check that ``lift(q)`` satisfies the cubical identities, with no cube
+    of it made.  Write pi_{c,s} for the relocation rho^-1 of face slot s of
+    cube c, and c_s for that face.  The check is:
+
+    - ``q``'s own face identities (``validate_face_identities``);
+    - 2n relocation ranks per n-cube, each in range, with the edge
+      property: pi_{c,(j,e)} takes the face's edge coordinates p < n - 1
+      to p below j and to p + 1 from j up, as every rho^-1 does;
+    - the cocycle conditions: for each identity d_i^e d_j^f = d_{j-1}^f
+      d_i^e (i < j) of an n-cube c, pi_{c,(j,f)} o pi_{c_(j,f),(i,e)} =
+      pi_{c,(i,e)} o pi_{c_(i,e),(j-1,f)}.
+
+    Given the edge property, which every relocation ``abrams_complex``
+    makes has, the lift's identities hold exactly when the orbit identities
+    and the cocycle conditions do; so the check passes only where they
+    hold.  Take a lifted cube (c, sigma) and two of its edge positions
+    a < b in tuple order, which hold c's edges J' and J with sigma(J') <
+    sigma(J).  Its face at b, end f, is (g, sigma o pi), g = c_(J,f) and pi
+    = pi_{c,(J,f)}.  That cube takes g's edges in the order of sigma o pi,
+    and pi keeps the order of the edges other than J, so its position a is
+    the edge i of g that J' becomes: J' if J' < J, J' - 1 if J' > J.
+    Likewise position b - 1 of the face at a, end e, (g', sigma o pi'), is
+    the edge i' of g' that J becomes.  So D_a^e D_b^f (c, sigma) =
+    (g_(i,e), sigma o pi o pi_{g,(i,e)}) and D_{b-1}^f D_a^e (c, sigma) =
+    (g'_(i',f), sigma o pi' o pi_{g',(i',f)}): equal exactly when the orbit
+    identity for the edges J' and J of c holds, and the cocycle (sigma
+    cancels).  As sigma runs over S_k, (J', J) runs over every ordered pair
+    of c's edges, and both orders of a pair give its one identity and
+    cocycle.  The lifted face of f at rank r is f * k! + r, of the arity of
+    ``q``'s faces and in range exactly when f is.
+
+    Each condition is one list comparison per identity over a whole level,
+    as ``validate_faces`` makes them.  Any failure raises ``InternalError``.
+    """
+    q.validate_face_identities()
+    if len(q.relocations) != len(q.cells):
+        raise InternalError("relocation levels do not match cube levels")
+    perms, right = _compositions(q.k) if len(q.cells) > 1 else ([], None)
+    for n in range(1, len(q.cells)):
+        level, faces = q.relocations[n], q.faces[n]
+        if len(level) != len(faces) or any(len(rs) != 2 * n for rs in level):
+            raise InternalError(f"a cube at dim {n} does not have {2 * n} relocations")
+        for s, ranks in enumerate(map(set, zip(*level))):
+            if not 0 <= min(ranks) <= max(ranks) < len(perms):
+                raise InternalError(f"relocation rank out of range at dim {n}")
+            keep = tuple(range(s // 2)) + tuple(range(s // 2 + 1, n))
+            if any(perms[r][: n - 1] != keep for r in ranks):
+                raise InternalError(f"a relocation at dim {n} moves the edges (face {s})")
+        lower = q.relocations[n - 1]
+        for a, b, c, e in _cube_identities(n):
+            left = [right(lower[fs[a]][b])[rs[a]] for fs, rs in zip(faces, level)]
+            other = [right(lower[fs[c]][e])[rs[c]] for fs, rs in zip(faces, level)]
+            if left != other:
+                idx = next(x for x, (u, v) in enumerate(zip(left, other)) if u != v)
+                raise InternalError(
+                    f"relocation cocycle fails at dim {n} cube {idx} (face {b} of face {a})"
+                )
 
 
 def free_face_collapse(a: AbramsComplex) -> AbramsComplex:
-    """The free-face collapse of ``a`` (``nerve.collapse_free_faces``): a
-    subcomplex with the same homology over Z, as the module docstring
-    argues."""
-    small = collapse_free_faces(SemiSimplicialSet(a.cells, a.faces))
-    return AbramsComplex(a.graph, a.k, small.labels, small.faces)
+    """The free-face collapse of ``a`` (``nerve.collapse_free_faces``), with
+    the relocations of the cubes it keeps: a subcomplex with the same
+    homology over Z, as the module docstring argues."""
+    small = collapse_free_faces(
+        SemiSimplicialSet([range(len(level)) for level in a.cells], a.faces)
+    )
+    cells, relocations = [], [[]] if a.relocations and small.labels else []
+    for n, kept in enumerate(small.labels):
+        cells.append(list(map(a.cells[n].__getitem__, kept)))
+        if n and a.relocations:
+            relocations.append(list(map(a.relocations[n].__getitem__, kept)))
+    return AbramsComplex(a.graph, a.k, cells, small.faces, relocations)
 
 
 @dataclass

@@ -9,6 +9,7 @@ to stderr.  Exit codes: 0 success, 2 parse error, 3 invalid configuration,
 import argparse
 import json
 import sys
+from math import factorial
 
 from . import graphs as gr
 from . import pi1
@@ -16,8 +17,10 @@ from .abrams import (
     AbramsComplex,
     abrams_complex,
     check_abrams_conditions,
-    free_face_collapse,
     cubical_chain_complex,
+    free_face_collapse,
+    lift,
+    validate_cover,
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
@@ -115,17 +118,27 @@ def _collapsed_report(fvector, small: SemiSimplicialSet) -> dict:
     }
 
 
-def _abrams_report(a: AbramsComplex) -> dict:
-    """Report of Abrams' complex, computed as ``_report_of_complex`` computes
-    a model's: the full complex is checked by its cubical face identities
-    (which imply d^2 = 0), its homology is computed on its free-face
-    collapse, and f-vector and Euler characteristic are the full complex's.
+def _abrams_report(q: AbramsComplex) -> dict:
+    """Report of Abrams' complex from its orbit complex ``q``
+    (``abrams_complex(g, k, quotient=True)``), with no ordered cube made
+    outside the lift of the collapse.
+
+    ``validate_cover`` checks ``q``'s cubical identities and the cocycle
+    conditions on its relocations, which, with the edge property it checks
+    too, hold exactly when the identities of the whole ordered complex, its
+    cover, do (the proof is in its docstring); they imply d^2 = 0.  The
+    f-vector and Euler characteristic are k! times ``q``'s.  Homology is
+    that of ``lift`` of ``q``'s free-face collapse, which is a collapse of
+    the ordered complex (``abrams``' module docstring), so its Betti
+    numbers and torsion are the ordered complex's; ``ChainComplex`` checks
+    d^2 = 0 on it.
     """
-    a.validate_face_identities()
+    validate_cover(q)
+    width = factorial(q.k)
     return {
-        "fvector": list(a.fvector()),
-        "euler": a.euler_characteristic(),
-        **_padded_homology(cubical_chain_complex(free_face_collapse(a)), len(a.cells)),
+        "fvector": [width * size for size in q.fvector()],
+        "euler": width * q.euler_characteristic(),
+        **_padded_homology(cubical_chain_complex(lift(free_face_collapse(q))), len(q.cells)),
     }
 
 
@@ -210,7 +223,7 @@ def cmd_compare(args) -> dict:
         raise InputError("subdivision count must be >= 1")
     fine = gr.subdivide(g, n)
     conditions = check_abrams_conditions(fine, args.k)
-    abrams_report = _abrams_report(abrams_complex(fine, args.k))
+    abrams_report = _abrams_report(abrams_complex(fine, args.k, quotient=True))
     model_report = _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
     # the cross-check passes only on a subdivision where Abrams' complex is
     # homotopy-correct, and only if the whole homology agrees

@@ -1,15 +1,19 @@
-"""Abrams reports computed on the free-face collapse.
+"""Abrams reports computed from the orbit complex.
 
-``cli._abrams_report`` checks the full cube complex by its cubical face
-identities and computes homology on ``abrams.free_face_collapse`` of it.
-Its Betti numbers and torsion must equal those of the full complex, whose
-boundary the reference below assembles by looking up each face as a tuple,
-and its guard must catch every corruption that the d^2 check of the full
-chain complex catches.
+``cli._abrams_report`` takes the orbit complex (``abrams_complex(g, k,
+quotient=True)``), checks it with ``abrams.validate_cover`` (its cubical
+face identities and the cocycle conditions on its relocations), and
+computes homology on ``lift`` of its ``free_face_collapse``.  Its Betti
+numbers and torsion must equal those of the full ordered complex, whose
+boundary the reference below assembles by looking up each face as a tuple.
+Its guard must fail exactly where the face check of the full ordered
+complex, the orbit complex's lift, fails, and so catch every corruption
+that the d^2 check of the lifted chain complex catches.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -17,13 +21,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from graphconf import cli
 from graphconf import graphs as gr
+from graphconf import abrams
 from graphconf.abrams import (
     AbramsComplex,
     _orbit_rep,
     abrams_complex,
     cubical_chain_complex,
     free_face_collapse,
+    lift,
     quotient,
+    validate_cover,
 )
 from graphconf.errors import InternalError, NotAComplex
 from graphconf.homology import ChainComplex, homology
@@ -75,11 +82,14 @@ def closed_multigraphs(draw):
     return gr.build_graph(verts, edges)
 
 
-def assert_report_matches_full(a):
+def assert_report_matches_full(g, k):
+    """The report from the orbit complex of (g, k) against the homology of
+    the full ordered complex."""
+    a = abrams_complex(g, k)
     full = reference_chain_complex(a)
     assert cubical_chain_complex(a).boundaries == full.boundaries
     ref = homology(full)
-    report = cli._abrams_report(a)
+    report = cli._abrams_report(abrams_complex(g, k, quotient=True))
     assert report["betti"] == ref.betti
     assert report["torsion"] == ref.torsion
     assert report["fvector"] == full.sizes
@@ -89,16 +99,18 @@ def assert_report_matches_full(a):
 @settings(max_examples=100, deadline=None)
 @given(closed_multigraphs(), st.integers(1, 3), st.integers(1, 3))
 def test_report_matches_full_complex(graph, times, k):
-    a = abrams_complex(gr.subdivide(graph, times), k)
-    assert_report_matches_full(a)
+    fine = gr.subdivide(graph, times)
+    assert_report_matches_full(fine, k)
+    a = abrams_complex(fine, k)
     assert quotient(a) == reference_quotient(a)
 
 
 def test_w31_report_pads_the_levels_the_collapse_empties():
-    a = abrams_complex(gr.subdivide(gr.hub_graph(3, 1), 4), 3)
-    assert len(free_face_collapse(a).cells) == len(a.cells) - 2 == 2
-    assert_report_matches_full(a)
-    assert cli._abrams_report(a)["betti"] == [1, 121, 0, 0]
+    fine = gr.subdivide(gr.hub_graph(3, 1), 4)
+    q = abrams_complex(fine, 3, quotient=True)
+    assert len(free_face_collapse(q).cells) == len(q.cells) - 2 == 2
+    assert_report_matches_full(fine, 3)
+    assert cli._abrams_report(q)["betti"] == [1, 121, 0, 0]
 
 
 def test_loop_face_is_never_free():
@@ -108,10 +120,18 @@ def test_loop_face_is_never_free():
     assert free_face_collapse(a).cells == a.cells
 
 
-def run_compare_on(a, graph_path):
-    """Exit code and stderr of `compare` when the Abrams complex built is ``a``."""
+def test_loop_face_is_never_free_in_the_orbit_complex():
+    # both ends of the loop give one orbit face with one relocation
+    q = abrams_complex(gr.build_graph(["u", "v"], [("l", "v", "v")]), 2, quotient=True)
+    assert all(fs[0] == fs[1] for fs in q.faces[1])
+    assert all(rs[0] == rs[1] for rs in q.relocations[1])
+    assert free_face_collapse(q) == q
+
+
+def run_compare_on(q, graph_path):
+    """Exit code and stderr of `compare` when the orbit complex built is ``q``."""
     out, err = StringIO(), StringIO()
-    with mock.patch.object(cli, "abrams_complex", lambda *args, **kw: a):
+    with mock.patch.object(cli, "abrams_complex", lambda *args, **kw: q):
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["compare", "--graph", graph_path, "-k", "2"])
     return code, err.getvalue()
@@ -124,36 +144,64 @@ def graph_path(tmp_path_factory):
     return str(path)
 
 
-def with_faces(a, faces):
-    return AbramsComplex(a.graph, a.k, a.cells, faces)
+def with_faces(q, faces):
+    return AbramsComplex(q.graph, q.k, q.cells, faces, q.relocations)
+
+
+def with_relocations(q, relocations):
+    return AbramsComplex(q.graph, q.k, q.cells, q.faces, relocations)
+
+
+def raises(check, error=InternalError) -> bool:
+    try:
+        check()
+    except error:
+        return True
+    return False
+
+
+def corrupt(q, data):
+    """``q`` with one face index or one relocation rank of one cube set to a
+    value in range, which may be the one it had."""
+    n = data.draw(st.integers(1, len(q.cells) - 1), label="level")
+    idx = data.draw(st.integers(0, len(q.faces[n]) - 1), label="cube")
+    slot = data.draw(st.integers(0, 2 * n - 1), label="slot")
+    if data.draw(st.booleans(), label="corrupt a relocation"):
+        table, value = q.relocations, data.draw(st.integers(0, factorial(q.k) - 1), label="rank")
+    else:
+        table, value = q.faces, data.draw(st.integers(0, len(q.cells[n - 1]) - 1), label="index")
+    levels = [list(level) for level in table]
+    row = list(levels[n][idx])
+    row[slot] = value
+    levels[n][idx] = tuple(row)
+    return with_relocations(q, levels) if table is q.relocations else with_faces(q, levels)
 
 
 @settings(max_examples=40, deadline=None)
 @given(closed_multigraphs(), st.integers(1, 3), st.integers(2, 3), st.data())
 def test_face_guard_catches_what_d2_check_caught(graph_path, graph, times, k, data):
-    a = abrams_complex(gr.subdivide(graph, times), k)
-    assume(len(a.cells) > 1)
-    n = data.draw(st.integers(1, len(a.cells) - 1), label="level")
-    idx = data.draw(st.integers(0, len(a.faces[n]) - 1), label="cube")
-    slot = data.draw(st.integers(0, 2 * n - 1), label="face")
-    value = data.draw(st.integers(0, len(a.cells[n - 1]) - 1), label="new index")
-    faces = [list(level) for level in a.faces]
-    row = list(faces[n][idx])
-    row[slot] = value
-    faces[n][idx] = tuple(row)
-    bad = with_faces(a, faces)
-    try:
-        cubical_chain_complex(bad)
-        old_caught = False
-    except NotAComplex:
-        old_caught = True
-    try:
-        cli._abrams_report(bad)
-        new_caught = False
-    except InternalError:
-        new_caught = True
+    q = abrams_complex(gr.subdivide(graph, times), k, quotient=True)
+    assume(len(q.cells) > 1)
+    bad = corrupt(q, data)
+    old_caught = raises(lambda: cubical_chain_complex(lift(bad)), NotAComplex)
+    new_caught = raises(lambda: cli._abrams_report(bad))
     if old_caught:
         assert new_caught
+        code, err = run_compare_on(bad, graph_path)
+        assert code == 4 and err.startswith("internal error:"), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_multigraphs(), st.integers(1, 3), st.integers(2, 3), st.data())
+def test_cover_guard_fails_exactly_where_the_lift_does(graph_path, graph, times, k, data):
+    q = abrams_complex(gr.subdivide(graph, times), k, quotient=True)
+    validate_cover(q)
+    lift(q).validate_face_identities()
+    assume(len(q.cells) > 1)
+    bad = corrupt(q, data)
+    caught = raises(lambda: validate_cover(bad))
+    assert caught == raises(lambda: lift(bad).validate_face_identities())
+    if caught:
         code, err = run_compare_on(bad, graph_path)
         assert code == 4 and err.startswith("internal error:"), err
 
@@ -169,33 +217,110 @@ def test_face_guard_catches_what_d2_check_caught(graph_path, graph, times, k, da
     ],
 )
 def test_bad_face_index_exits_4(graph_path, level, where, message):
-    a = abrams_complex(gr.subdivide(gr.theta_graph(), 3), 2)
-    assert len(a.cells) == 3
-    faces = [list(lv) for lv in a.faces]
+    q = abrams_complex(gr.subdivide(gr.theta_graph(), 3), 2, quotient=True)
+    assert len(q.cells) == 3
+    faces = [list(lv) for lv in q.faces]
     first, *rest = faces[level][0]
     faces[level][0] = {
-        "too-large": (len(a.cells[level - 1]), *rest),
+        "too-large": (len(q.cells[level - 1]), *rest),
         "negative": (-1, *rest),
         "short": tuple(rest),
         "extra": (first, *rest, first),
     }[where]
-    bad = with_faces(a, faces)
+    bad = with_faces(q, faces)
     with pytest.raises(InternalError, match=message):
-        bad.validate_face_identities()
+        validate_cover(bad)
+    code, err = run_compare_on(bad, graph_path)
+    assert code == 4 and message in err, err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("too-large", "out of range"),
+        ("negative", "out of range"),
+        ("short", "does not have"),
+        ("extra", "does not have"),
+        ("edges", "moves the edges"),
+        ("cocycle", "relocation cocycle fails at dim 2 cube 0"),
+    ],
+)
+def test_bad_relocation_exits_4(graph_path, where, message):
+    q = abrams_complex(gr.subdivide(gr.theta_graph(), 4), 3, quotient=True)
+    assert len(q.cells) == 4
+    relocations = [list(lv) for lv in q.relocations]
+    first, *rest = relocations[2][0]
+    if where == "cocycle":
+        # the 1-cube d_1^- of square 0 gets another relocation at its minus
+        # end: a 1-cube has no edge coordinate to move, but the composites
+        # along d_0^- d_1^- = d_0^- d_0^- of square 0 now differ
+        edge = q.faces[2][0][0]
+        minus, plus = relocations[1][edge]
+        relocations[1][edge] = ((minus + 1) % factorial(3), plus)
+    else:
+        relocations[2][0] = {
+            "too-large": (factorial(3), *rest),
+            "negative": (-1, *rest),
+            "short": tuple(rest),
+            "extra": (first, *rest, first),
+            # rank 1 is (0, 2, 1): it keeps the face's edge coordinate 0 at
+            # 0, where d_1^- of a square, which drops edge 0, needs it at 1
+            "edges": (1, *rest),
+        }[where]
+    bad = with_relocations(q, relocations)
+    with pytest.raises(InternalError, match=message):
+        validate_cover(bad)
     code, err = run_compare_on(bad, graph_path)
     assert code == 4 and message in err, err
 
 
 @pytest.mark.parametrize("where", ["levels", "count"])
 def test_face_lists_must_match_cells(graph_path, where):
-    a = abrams_complex(gr.subdivide(gr.theta_graph(), 3), 2)
-    faces = [list(lv) for lv in a.faces]
+    q = abrams_complex(gr.subdivide(gr.theta_graph(), 3), 2, quotient=True)
+    faces = [list(lv) for lv in q.faces]
     if where == "levels":
         faces.pop()
     else:
         faces[2].pop()
-    bad = with_faces(a, faces)
+    bad = with_faces(q, faces)
     with pytest.raises(InternalError):
-        bad.validate_face_identities()
+        validate_cover(bad)
     code, err = run_compare_on(bad, graph_path)
     assert code == 4 and err.startswith("internal error:"), err
+
+
+@pytest.mark.parametrize("where", ["levels", "count"])
+def test_relocation_lists_must_match_cells(graph_path, where):
+    q = abrams_complex(gr.subdivide(gr.theta_graph(), 3), 2, quotient=True)
+    relocations = [list(lv) for lv in q.relocations]
+    if where == "levels":
+        relocations.pop()
+    else:
+        relocations[2].pop()
+    bad = with_relocations(q, relocations)
+    with pytest.raises(InternalError):
+        validate_cover(bad)
+    code, err = run_compare_on(bad, graph_path)
+    assert code == 4 and err.startswith("internal error:"), err
+
+
+def test_compare_builds_no_ordered_complex(graph_path, monkeypatch):
+    # the ordered complex is the sorted lift; compare lifts only the collapse
+    def refuse(*args):
+        raise AssertionError("the ordered complex was built")
+
+    lifted = []
+
+    def counting_lift(q):
+        lifted.append(sum(map(len, q.cells)))
+        return lift(q)
+
+    monkeypatch.setattr(abrams, "_sorted", refuse)
+    monkeypatch.setattr(cli, "lift", counting_lift)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["compare", "--graph", graph_path, "-k", "3", "--subdivide", "4"])
+    assert code == 0, err.getvalue()
+    assert '"match":true' in out.getvalue()
+    orbit = abrams_complex(gr.subdivide(gr.theta_graph(), 4), 3, quotient=True)
+    assert len(lifted) == 1 and lifted[0] < sum(map(len, orbit.cells))
