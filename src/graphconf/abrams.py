@@ -19,7 +19,9 @@ d = sum_p (-1)^(p-1) (d_p^+ - d_p^-), each end pair signed by the number of
 edge factors before it, and the identities imply d^2 = 0 for it.
 
 S_k acts freely on the cubes by permuting coordinates, as the factors of a
-cube are pairwise distinct, and the quotient is Abrams' UD_k X.  The
+cube are pairwise distinct, and the quotient is Abrams' UD_k X (Abrams,
+"Configuration spaces and braid groups of graphs", PhD thesis, UC
+Berkeley 2000).  The
 orbit complex (``abrams_complex(g, k, quotient=True)``) holds one cube c
 per orbit, the one whose factors ascend.  Edge cells sort before vertex
 cells, so c's n edge factors sit at coordinates 0..n-1, in slot order,
@@ -38,9 +40,10 @@ sigma(j).  ``abrams_complex(g, k)`` is that cover with each level in
 lexicographic order.
 
 A covering lifts the star of every cube isomorphically: an incidence of f
-as face (j, e) of c lifts to exactly one incidence of each lift of f, at
-the lift sigma . c with sigma o rho^-1 its own permutation.  So each lift
-of f has as many cofaces as f, and occurs in them as often.  If f is a
+as face (j, e) of c, with relocation rho, lifts to exactly one incidence
+of each lift tau . f, at sigma . c for the one sigma with
+sigma o rho^-1 = tau.  So each lift of f has as many cofaces as f, and
+occurs in them as often.  If f is a
 free face of c, each of its k! lifts is a free face of one lift of c, the
 k! pairs are disjoint, and what stays is again the cover of what stays
 below; ``model``'s module docstring argues the same for the nerve.  So
@@ -57,7 +60,6 @@ creates no fill.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
@@ -133,30 +135,13 @@ def _closure(g: Graph, cell) -> frozenset:
     return frozenset(out)
 
 
-def _relocation(k: int, n: int, j: int, q: int) -> int:
-    """The rank of rho^-1 for the face of a sorted n-cube that puts an end
-    after q of its vertex factors in place of edge j: rho^-1 takes the
-    face's position n-1+q to j, the positions from j up to it one up, and
-    keeps the rest."""
-    p = tuple(range(j)) + tuple(range(j + 1, n + q)) + (j,) + tuple(range(n + q, k))
-    rank = 0
-    for i, x in enumerate(p):
-        rank = rank * (k - i) + sum(y < x for y in p[i + 1 :])
-    return rank
-
-
-def _compositions(k: int) -> tuple:
-    """(perms, right): the permutations of range(k) in lexicographic order,
-    so the identity has rank 0, and ``right(r)[i]``, the rank of
-    perms[i] o perms[r], a row made on first use."""
+def _permutations(k: int) -> tuple:
+    """(perms, rank, right): the permutations of range(k) in lexicographic
+    order, so the identity has rank 0, their ranks, and ``right[b][a]``, the
+    rank of perms[a] o perms[b]."""
     perms = list(permutations(range(k)))
     rank = {p: i for i, p in enumerate(perms)}
-
-    @cache
-    def right(r: int) -> list:
-        return [rank[tuple(map(p.__getitem__, perms[r]))] for p in perms]
-
-    return perms, right
+    return perms, rank, [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
 
 
 def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
@@ -209,10 +194,19 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
     while found and not found[-1]:
         found.pop()
     faces, relocations = [[] for _ in found[:1]], [[] for _ in found[:1]]
+    rank = _permutations(k)[1] if len(found) > 1 else None
     for n in range(1, len(found)):
         where = {mask: i for i, mask in enumerate(bits[n - 1])}
-        # the relocations of the faces of an n-cube, by edge slot j and q
-        table = [[_relocation(k, n, j, q) for q in range(k - n + 1)] for j in range(n)]
+        # the rank of rho^-1 for the face of an n-cube that puts an end after q
+        # vertex factors in place of edge j: rho^-1 takes the face's position
+        # n-1+q to j, the positions from j up to it one up, and keeps the rest
+        table = [
+            [
+                rank[tuple(range(j)) + tuple(range(j + 1, n + q)) + (j,) + tuple(range(n + q, k))]
+                for q in range(k - n + 1)
+            ]
+            for j in range(n)
+        ]
         level_faces, level_relocations = [], []
         for cube, mask in zip(found[n], bits[n]):
             level_faces.append(
@@ -229,7 +223,12 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
         relocations.append(level_relocations)
     cells = [[tuple(map(symbols.__getitem__, cube)) for cube in level] for level in found]
     orbit = AbramsComplex(g, k, cells, faces, relocations)
-    return orbit if quotient else _sorted(lift(orbit))
+    if quotient:
+        return orbit
+    a = lift(orbit)
+    keep = [sorted(range(len(level)), key=level.__getitem__) for level in a.cells]
+    s = SemiSimplicialSet(a.cells, a.faces).restrict(keep)
+    return AbramsComplex(g, k, s.labels, s.faces)
 
 
 def lift(q: AbramsComplex) -> AbramsComplex:
@@ -238,7 +237,7 @@ def lift(q: AbramsComplex) -> AbramsComplex:
     order (the module docstring).  Nothing is sorted."""
     if not q.cells:
         return AbramsComplex(q.graph, q.k, [], [])
-    perms, right = _compositions(q.k)
+    perms, _, right = _permutations(q.k)
     width = len(perms)
     # perms[i] . c holds c's factor inverse[i][x] at coordinate x
     inverse = [tuple(sorted(range(q.k), key=p.__getitem__)) for p in perms]
@@ -256,17 +255,10 @@ def lift(q: AbramsComplex) -> AbramsComplex:
         lifted = []
         for fs, rs in zip(q.faces[n], q.relocations[n]):
             # per rank i, the lifted faces in c's slot order
-            rows = zip(*[[f * width + x for x in right(r)] for f, r in zip(fs, rs)])
+            rows = zip(*[[f * width + x for x in right[r]] for f, r in zip(fs, rs)])
             lifted.extend([get(row) for get, row in zip(order, rows)])
         faces.append(lifted)
     return AbramsComplex(q.graph, q.k, cells, faces)
-
-
-def _sorted(a: AbramsComplex) -> AbramsComplex:
-    """``a`` with each level in lexicographic order."""
-    keep = [sorted(range(len(level)), key=level.__getitem__) for level in a.cells]
-    s = SemiSimplicialSet(a.cells, a.faces).restrict(keep)
-    return AbramsComplex(a.graph, a.k, s.labels, s.faces)
 
 
 def validate_cover(q: AbramsComplex) -> None:
@@ -307,7 +299,7 @@ def validate_cover(q: AbramsComplex) -> None:
     q.validate_face_identities()
     if len(q.relocations) != len(q.cells):
         raise InternalError("relocation levels do not match cube levels")
-    perms, right = _compositions(q.k) if len(q.cells) > 1 else ([], None)
+    perms, _, right = _permutations(q.k) if len(q.cells) > 1 else ([], None, None)
     for n in range(1, len(q.cells)):
         level, faces = q.relocations[n], q.faces[n]
         if len(level) != len(faces) or any(len(rs) != 2 * n for rs in level):
@@ -320,8 +312,8 @@ def validate_cover(q: AbramsComplex) -> None:
                 raise InternalError(f"a relocation at dim {n} moves the edges (face {s})")
         lower = q.relocations[n - 1]
         for a, b, c, e in _cube_identities(n):
-            left = [right(lower[fs[a]][b])[rs[a]] for fs, rs in zip(faces, level)]
-            other = [right(lower[fs[c]][e])[rs[c]] for fs, rs in zip(faces, level)]
+            left = [right[lower[fs[a]][b]][rs[a]] for fs, rs in zip(faces, level)]
+            other = [right[lower[fs[c]][e]][rs[c]] for fs, rs in zip(faces, level)]
             if left != other:
                 idx = next(x for x, (u, v) in enumerate(zip(left, other)) if u != v)
                 raise InternalError(

@@ -122,16 +122,3 @@ def test_cover_is_the_ordered_complex(graph, times, k):
 def test_cover_is_the_ordered_complex_on_random_multigraphs(graph, times, k):
     assert_cover_is_the_ordered_complex(gr.subdivide(graph, times), k)
 
-
-def test_lift_lists_faces_in_tuple_order():
-    # the lift of an orbit square (e_a, e_b, v) by the swap of its edge
-    # coordinates lists e_b's faces first, as its tuple holds e_b first
-    g = gr.subdivide(gr.theta_graph(), 3)
-    orbit = abrams_complex(g, 3, quotient=True)
-    lifted = lift(orbit)
-    width = factorial(3)
-    c = 0
-    swap = 2  # (1, 0, 2), the third permutation of range(3) in lexicographic order
-    assert lifted.cells[2][c * width + swap] == tuple(orbit.cells[2][c][i] for i in (1, 0, 2))
-    fs = lifted.faces[2][c * width + swap]
-    assert [f // width for f in fs] == [orbit.faces[2][c][s] for s in (2, 3, 0, 1)]

@@ -305,7 +305,7 @@ def test_relocation_lists_must_match_cells(graph_path, where):
 
 
 def test_compare_builds_no_ordered_complex(graph_path, monkeypatch):
-    # the ordered complex is the sorted lift; compare lifts only the collapse
+    # abrams_complex(g, k) is the sorted lift; compare lifts only the collapse
     def refuse(*args):
         raise AssertionError("the ordered complex was built")
 
@@ -315,7 +315,7 @@ def test_compare_builds_no_ordered_complex(graph_path, monkeypatch):
         lifted.append(sum(map(len, q.cells)))
         return lift(q)
 
-    monkeypatch.setattr(abrams, "_sorted", refuse)
+    monkeypatch.setattr(abrams, "lift", refuse)
     monkeypatch.setattr(cli, "lift", counting_lift)
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
