@@ -125,16 +125,6 @@ def _cube_signs(n: int) -> list:
     return [(-1) ** (i // 2) * (1 if i % 2 else -1) for i in range(2 * n)]
 
 
-def _closure(g: Graph, cell) -> frozenset:
-    if cell[0] == "v":
-        return frozenset([("v", cell[1])])
-    e = g.edge(cell[1])
-    out = {("e", e.id)}
-    for end in e.ends:
-        out.add(("v", end))
-    return frozenset(out)
-
-
 def _permutations(k: int) -> tuple:
     """(perms, rank, right): the permutations of range(k) in lexicographic
     order, so the identity has rank 0, their ranks, and ``right[b][a]``, the
@@ -164,15 +154,16 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
         [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
     )
     digit = {s: d for d, s in enumerate(symbols)}
-    closures = [sum(1 << digit[c] for c in _closure(g, s)) for s in symbols]
-    # compatible[d]: the digits whose closures miss d's; ends[d]: the digits
-    # of the minus and plus end of edge cell d, () for a vertex
-    compatible = [
-        sum(1 << x for x, other in enumerate(closures) if not other & mine) for mine in closures
-    ]
+    # ends[d]: the digits of the minus and plus end of edge cell d, () for a
+    # vertex; a cell's closure, as a bit mask, is it and its ends; and
+    # compatible[d]: the digits whose closures miss d's
     ends = [
         tuple(digit[("v", x)] for x in g.edge(s[1]).ends) if s[0] == "e" else ()
         for s in symbols
+    ]
+    closures = [1 << d | sum(1 << x for x in set(xs)) for d, xs in enumerate(ends)]
+    compatible = [
+        sum(1 << x for x, other in enumerate(closures) if not other & mine) for mine in closures
     ]
     # per dimension: the digit tuples, and their digit sets as bit masks
     found: list[list] = [[] for _ in range(k + 1)]

@@ -381,7 +381,9 @@ def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
     Neither the scan nor ``restrict`` reads how many faces a chain has, so
     a cube complex stored the same way (``abrams.free_face_collapse``) collapses
     here too.  Nor do they read labels, which ``restrict`` carries along:
-    ``model.collapsed_cover`` labels the orbit nerve by what its lift needs.
+    ``model.collapsed_cover`` labels the orbit nerve by what its lift needs,
+    and ``abrams.free_face_collapse`` labels cubes by index, to keep their
+    relocations.
     """
     alive =[[True] * len(level) for level in s.labels]
     # cofaces[n][t]: the (n+1)-chains having t as a face, once per incidence

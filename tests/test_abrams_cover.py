@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from graphconf import graphs as gr
 from graphconf.abrams import (
     AbramsComplex,
-    _closure,
     abrams_complex,
     cubical_chain_complex,
     lift,
@@ -28,6 +27,13 @@ from test_abrams_report import closed_multigraphs
 from test_orbit_nerve import k4
 
 
+def closure(g, cell) -> frozenset:
+    if cell[0] == "v":
+        return frozenset([cell])
+    e = g.edge(cell[1])
+    return frozenset([cell] + [("v", end) for end in e.ends])
+
+
 def reference_abrams_complex(g, k) -> AbramsComplex:
     """All k-tuples of cells with pairwise disjoint closures, extended
     depth-first through the sorted cell list, so each dimension comes out
@@ -36,7 +42,7 @@ def reference_abrams_complex(g, k) -> AbramsComplex:
     edge with digit d at position p has code code + (x - d) * b^(k-1-p)."""
     symbols = sorted([("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges])
     digit = {s: d for d, s in enumerate(symbols)}
-    closures = [_closure(g, s) for s in symbols]
+    closures = [closure(g, s) for s in symbols]
     ends = [
         tuple(digit[("v", x)] for x in g.edge(s[1]).ends) if s[0] == "e" else ()
         for s in symbols
