@@ -60,6 +60,7 @@ creates no fill.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
@@ -127,11 +128,18 @@ def _cube_signs(n: int) -> list:
 
 def _permutations(k: int) -> tuple:
     """(perms, rank, right): the permutations of range(k) in lexicographic
-    order, so the identity has rank 0, their ranks, and ``right[b][a]``, the
-    rank of perms[a] o perms[b]."""
+    order, so the identity has rank 0, their ranks, and ``right(b)[a]``, the
+    rank of perms[a] o perms[b].  A row of ``right`` is made on first use:
+    relocations take at most k^2 (k+1) values, and a whole table would hold
+    (k!)^2 ranks."""
     perms = list(permutations(range(k)))
     rank = {p: i for i, p in enumerate(perms)}
-    return perms, rank, [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
+
+    @cache
+    def right(b: int) -> list:
+        return [rank[tuple(map(a.__getitem__, perms[b]))] for a in perms]
+
+    return perms, rank, right
 
 
 def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
@@ -246,7 +254,7 @@ def lift(q: AbramsComplex) -> AbramsComplex:
         lifted = []
         for fs, rs in zip(q.faces[n], q.relocations[n]):
             # per rank i, the lifted faces in c's slot order
-            rows = zip(*[[f * width + x for x in right[r]] for f, r in zip(fs, rs)])
+            rows = zip(*[[f * width + x for x in right(r)] for f, r in zip(fs, rs)])
             lifted.extend([get(row) for get, row in zip(order, rows)])
         faces.append(lifted)
     return AbramsComplex(q.graph, q.k, cells, faces)
@@ -303,8 +311,8 @@ def validate_cover(q: AbramsComplex) -> None:
                 raise InternalError(f"a relocation at dim {n} moves the edges (face {s})")
         lower = q.relocations[n - 1]
         for a, b, c, e in _cube_identities(n):
-            left = [right[lower[fs[a]][b]][rs[a]] for fs, rs in zip(faces, level)]
-            other = [right[lower[fs[c]][e]][rs[c]] for fs, rs in zip(faces, level)]
+            left = [right(lower[fs[a]][b])[rs[a]] for fs, rs in zip(faces, level)]
+            other = [right(lower[fs[c]][e])[rs[c]] for fs, rs in zip(faces, level)]
             if left != other:
                 idx = next(x for x, (u, v) in enumerate(zip(left, other)) if u != v)
                 raise InternalError(
