@@ -58,7 +58,6 @@ row of the boundary holds a single +-1, a unit pivot whose elimination
 creates no fill.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
@@ -211,9 +210,10 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
             level_faces.append(
                 tuple([where[mask - (1 << d) + (1 << x)] for d in cube[:n] for x in ends[d]])
             )
+            # q: the vertex factors below x, the digits below it past the n edges
             level_relocations.append(
                 tuple([
-                    table[j][bisect_left(cube, x, n) - n]
+                    table[j][(mask & ((1 << x) - 1)).bit_count() - n]
                     for j, d in enumerate(cube[:n])
                     for x in ends[d]
                 ])
