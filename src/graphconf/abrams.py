@@ -21,52 +21,44 @@ edge factors before it, and the identities imply d^2 = 0 for it.
 S_k acts freely on the cubes by permuting coordinates, as the factors of a
 cube are pairwise distinct, and the quotient is Abrams' UD_k X (Abrams,
 "Configuration spaces and braid groups of graphs", PhD thesis, UC
-Berkeley 2000).  The
-orbit complex (``abrams_complex(g, k, quotient=True)``) holds one cube c
-per orbit, the one whose factors ascend.  Edge cells sort before vertex
-cells, so c's n edge factors sit at coordinates 0..n-1, in slot order,
-and the other members of the orbit are never made.  Putting end x in
-place of edge j gives a tuple that a relocation rho sorts into the orbit
-face f: rho keeps the other edges in order, puts x after the q vertex
-factors of c below x, and keeps the vertex factors in order, so it
+Berkeley 2000).  The orbit complex (``abrams_complex(g, k, quotient=True)``)
+holds one cube c per orbit, the one whose factors ascend.  Edge cells sort
+before vertex cells, so c's n edge factors sit at coordinates 0..n-1, in
+slot order, and the other members of the orbit are never made.  Putting
+end x in place of edge j gives a tuple that a relocation rho sorts into
+the orbit face f: rho keeps the other edges in order, puts x after the q
+vertex factors of c below x, and keeps the vertex factors in order, so it
 depends only on (n, j, q).  Each face slot records the rank of rho^-1 in
 ``relocations``.
 
 The ordered complex is the k!-sheeted cover of the orbit complex
-(``lift``).  The cube sigma . c, whose coordinate sigma(i) holds c's
-factor i, has at c's slot (j, e) the face (sigma o rho^-1) . f, and lists
-its faces in its own tuple order, which takes c's edges j by ascending
-sigma(j).  ``abrams_complex(g, k)`` is that cover with each level in
-lexicographic order.
-
-A covering lifts the star of every cube isomorphically: an incidence of f
-as face (j, e) of c, with relocation rho, lifts to exactly one incidence
-of each lift tau . f, at sigma . c for the one sigma with
-sigma o rho^-1 = tau.  So each lift of f has as many cofaces as f, and
-occurs in them as often.  If f is a
-free face of c, each of its k! lifts is a free face of one lift of c, the
-k! pairs are disjoint, and what stays is again the cover of what stays
-below; ``model``'s module docstring argues the same for the nerve.  So
-the lift of the orbit complex's free-face collapse is a collapse of the
-ordered complex, found by a scan of a complex k! times smaller.  A loop
+(``lift``): the twisted cover of ``nerve.lift_faces`` with the twist
+rho^-1 at every slot.  The cube sigma . c, whose coordinate sigma(i) holds
+c's factor i, has at c's slot (j, e) the face (sigma o rho^-1) . f, and
+lists its faces in its own tuple order, which takes c's edges j by
+ascending sigma(j).  ``abrams_complex(g, k)`` is that cover with each level
+in lexicographic order.  Homology, as ``compare`` reports it, is computed
+on the lift of the orbit complex's free-face collapse, a collapse of the
+ordered complex (``nerve.lift_faces``), which is exact over Z.  A loop
 factor's two ends give one face that occurs twice in one cube, so it is
 never free, in the orbit complex or in its cover.
-
-Homology, as ``compare`` reports it, is computed on that collapse.  That
-is exact over Z: a free face has one coface and occurs in it once, so its
-row of the boundary holds a single +-1, a unit pivot whose elimination
-creates no fill.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
 from .errors import InternalError, NonFreeAction, OpenEdge
 from .graphs import Graph, essential_vertices
 from .homology import ChainComplex, face_chain_complex
-from .nerve import SemiSimplicialSet, collapse_free_faces, validate_faces
+from .nerve import (
+    Permutations,
+    SemiSimplicialSet,
+    collapse_free_faces,
+    lift_faces,
+    validate_faces,
+    validate_twists,
+)
 
 
 @dataclass
@@ -125,22 +117,6 @@ def _cube_signs(n: int) -> list:
     return [(-1) ** (i // 2) * (1 if i % 2 else -1) for i in range(2 * n)]
 
 
-def _permutations(k: int) -> tuple:
-    """(perms, rank, right): the permutations of range(k) in lexicographic
-    order, so the identity has rank 0, their ranks, and ``right(b)[a]``, the
-    rank of perms[a] o perms[b].  A row of ``right`` is made on first use:
-    relocations take at most k^2 (k+1) values, and a whole table would hold
-    (k!)^2 ranks."""
-    perms = list(permutations(range(k)))
-    rank = {p: i for i, p in enumerate(perms)}
-
-    @cache
-    def right(b: int) -> list:
-        return [rank[tuple(map(a.__getitem__, perms[b]))] for a in perms]
-
-    return perms, rank, right
-
-
 def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
     """All k-tuples of cells with pairwise disjoint closures, by dimension,
     each dimension in lexicographic order, with every cube's faces by index;
@@ -192,7 +168,7 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
     while found and not found[-1]:
         found.pop()
     faces, relocations = [[] for _ in found[:1]], [[] for _ in found[:1]]
-    rank = _permutations(k)[1] if len(found) > 1 else None
+    rank = Permutations(k).rank if len(found) > 1 else None
     for n in range(1, len(found)):
         where = {mask: i for i, mask in enumerate(bits[n - 1])}
         # the rank of rho^-1 for the face of an n-cube that puts an end after q
@@ -231,93 +207,67 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
 
 
 def lift(q: AbramsComplex) -> AbramsComplex:
-    """The k!-sheeted cover of the orbit complex ``q``: cube (c, i), perms[i]
-    applied to cube c, at index c * k! + i, with its faces in its own tuple
-    order (the module docstring).  Nothing is sorted."""
+    """The k!-sheeted cover of the orbit complex ``q`` (``nerve.lift_faces``),
+    each cube with its faces in its own tuple order (the module docstring)."""
     if not q.cells:
         return AbramsComplex(q.graph, q.k, [], [])
-    perms, _, right = _permutations(q.k)
-    width = len(perms)
+    group = Permutations(q.k)
     # perms[i] . c holds c's factor inverse[i][x] at coordinate x
-    inverse = [tuple(sorted(range(q.k), key=p.__getitem__)) for p in perms]
-    cells = [
-        [tuple(map(cube.__getitem__, inv)) for cube in level for inv in inverse]
-        for level in q.cells
+    inverse = group.inverse
+    cells = [[tuple(map(cube.__getitem__, p)) for cube in lv for p in inverse] for lv in q.cells]
+    # order[n][i] picks c's face slots in the tuple order of perms[i] . c
+    order = [[]] + [
+        [itemgetter(*[2 * j + e for j in sorted(range(n), key=p.__getitem__) for e in (0, 1)])
+         for p in group.perms]
+        for n in range(1, len(q.cells))
     ]
-    faces = [[]]
-    for n in range(1, len(q.cells)):
-        # order[i] picks c's face slots in the tuple order of perms[i] . c
-        order = [
-            itemgetter(*[2 * j + e for j in sorted(range(n), key=p.__getitem__) for e in (0, 1)])
-            for p in perms
-        ]
-        lifted = []
-        for fs, rs in zip(q.faces[n], q.relocations[n]):
-            # per rank i, the lifted faces in c's slot order
-            rows = zip(*[[f * width + x for x in right(r)] for f, r in zip(fs, rs)])
-            lifted.extend([get(row) for get, row in zip(order, rows)])
-        faces.append(lifted)
-    return AbramsComplex(q.graph, q.k, cells, faces)
+    return AbramsComplex(q.graph, q.k, cells, lift_faces(q.faces, _twists(q), group, order))
+
+
+def _twists(q: AbramsComplex) -> list:
+    """``q``'s relocations by level and slot, as ``nerve.lift_faces`` reads twists."""
+    return [[list(slot) for slot in zip(*level)] for level in q.relocations]
 
 
 def validate_cover(q: AbramsComplex) -> None:
     """Check that ``lift(q)`` satisfies the cubical identities, with no cube
-    of it made.  Write pi_{c,s} for the relocation rho^-1 of face slot s of
-    cube c, and c_s for that face.  The check is:
+    of it made: ``nerve.validate_twists`` with the twists pi_{c,s}, the
+    relocation rho^-1 of face slot s of cube c, and, after the range check,
+    the edge property: pi_{c,(j,e)} takes the face's edge coordinates
+    p < n - 1 to p below j and to p + 1 from j up, as every rho^-1 does.
 
-    - ``q``'s own face identities (``validate_face_identities``);
-    - 2n relocation ranks per n-cube, each in range, with the edge
-      property: pi_{c,(j,e)} takes the face's edge coordinates p < n - 1
-      to p below j and to p + 1 from j up, as every rho^-1 does;
-    - the cocycle conditions: for each identity d_i^e d_j^f = d_{j-1}^f
-      d_i^e (i < j) of an n-cube c, pi_{c,(j,f)} o pi_{c_(j,f),(i,e)} =
-      pi_{c,(i,e)} o pi_{c_(i,e),(j-1,f)}.
-
-    Given the edge property, which every relocation ``abrams_complex``
-    makes has, the lift's identities hold exactly when the orbit identities
-    and the cocycle conditions do; so the check passes only where they
-    hold.  Take a lifted cube (c, sigma) and two of its edge positions
-    a < b in tuple order, which hold c's edges J' and J with sigma(J') <
-    sigma(J).  Its face at b, end f, is (g, sigma o pi), g = c_(J,f) and pi
-    = pi_{c,(J,f)}.  That cube takes g's edges in the order of sigma o pi,
-    and pi keeps the order of the edges other than J, so its position a is
-    the edge i of g that J' becomes: J' if J' < J, J' - 1 if J' > J.
-    Likewise position b - 1 of the face at a, end e, (g', sigma o pi'), is
-    the edge i' of g' that J becomes.  So D_a^e D_b^f (c, sigma) =
-    (g_(i,e), sigma o pi o pi_{g,(i,e)}) and D_{b-1}^f D_a^e (c, sigma) =
-    (g'_(i',f), sigma o pi' o pi_{g',(i',f)}): equal exactly when the orbit
-    identity for the edges J' and J of c holds, and the cocycle (sigma
-    cancels).  As sigma runs over S_k, (J', J) runs over every ordered pair
-    of c's edges, and both orders of a pair give its one identity and
-    cocycle.  The lifted face of f at rank r is f * k! + r, of the arity of
-    ``q``'s faces and in range exactly when f is.
-
-    Each condition is one list comparison per identity over a whole level,
-    as ``validate_faces`` makes them.  Any failure raises ``InternalError``.
+    Given it, the lift's identities, in each cube's tuple order, hold
+    exactly when the orbit identities and the cocycles do.  Take a lifted
+    cube (c, sigma) and two of its edge positions a < b, which hold c's
+    edges J' and J with sigma(J') < sigma(J).  Its face at b, end f, is
+    (g, sigma o pi), g = c_(J,f) and pi = pi_{c,(J,f)}, which takes g's
+    edges in the order of sigma o pi; pi keeps the order of the edges other
+    than J, so its position a is the edge i of g that J' becomes (J' if
+    J' < J, J' - 1 if J' > J).  Likewise position b - 1 of the face at a,
+    end e, (g', sigma o pi'), is the edge i' of g' that J becomes.  So
+    D_a^e D_b^f (c, sigma) = (g_(i,e), sigma o pi o pi_{g,(i,e)}) and
+    D_{b-1}^f D_a^e (c, sigma) = (g'_(i',f), sigma o pi' o pi_{g',(i',f)}),
+    equal exactly when c's identity for the edges J' and J and its cocycle
+    hold.  As sigma runs over S_k, (J', J) runs over every ordered pair of
+    c's edges, and both orders of a pair give its one identity.
     """
-    q.validate_face_identities()
     if len(q.relocations) != len(q.cells):
         raise InternalError("relocation levels do not match cube levels")
-    perms, _, right = _permutations(q.k) if len(q.cells) > 1 else ([], None, None)
-    for n in range(1, len(q.cells)):
-        level, faces = q.relocations[n], q.faces[n]
-        if len(level) != len(faces) or any(len(rs) != 2 * n for rs in level):
+    for n, level in enumerate(q.relocations[1:], 1):
+        if len(level) != len(q.cells[n]) or any(len(rs) != 2 * n for rs in level):
             raise InternalError(f"a cube at dim {n} does not have {2 * n} relocations")
-        for s, ranks in enumerate(map(set, zip(*level))):
-            if not 0 <= min(ranks) <= max(ranks) < len(perms):
-                raise InternalError(f"relocation rank out of range at dim {n}")
+    group = Permutations(q.k) if len(q.cells) > 1 else []
+
+    def keeps_edges(n: int, twists: list) -> None:
+        for s, ranks in enumerate(twists):
             keep = tuple(range(s // 2)) + tuple(range(s // 2 + 1, n))
-            if any(perms[r][: n - 1] != keep for r in ranks):
+            if any(group.perms[r][: n - 1] != keep for r in set(ranks)):
                 raise InternalError(f"a relocation at dim {n} moves the edges (face {s})")
-        lower = q.relocations[n - 1]
-        for a, b, c, e in _cube_identities(n):
-            left = [right(lower[fs[a]][b])[rs[a]] for fs, rs in zip(faces, level)]
-            other = [right(lower[fs[c]][e])[rs[c]] for fs, rs in zip(faces, level)]
-            if left != other:
-                idx = next(x for x, (u, v) in enumerate(zip(left, other)) if u != v)
-                raise InternalError(
-                    f"relocation cocycle fails at dim {n} cube {idx} (face {b} of face {a})"
-                )
+
+    validate_twists(
+        q.cells, q.faces, lambda n: 2 * n, _cube_identities, _twists(q), group, keeps_edges,
+        "relocation cocycle fails at dim {n} cube {idx}",
+    )
 
 
 def free_face_collapse(a: AbramsComplex) -> AbramsComplex:

@@ -121,17 +121,12 @@ def _collapsed_report(fvector, small: SemiSimplicialSet) -> dict:
 def _abrams_report(q: AbramsComplex) -> dict:
     """Report of Abrams' complex from its orbit complex ``q``
     (``abrams_complex(g, k, quotient=True)``), with no ordered cube made
-    outside the lift of the collapse.
-
-    ``validate_cover`` checks ``q``'s cubical identities and the cocycle
-    conditions on its relocations, which, with the edge property it checks
-    too, hold exactly when the identities of the whole ordered complex, its
-    cover, do (the proof is in its docstring); they imply d^2 = 0.  The
+    outside the lift of the collapse.  ``validate_cover`` checks the whole
+    ordered complex, its cover, on ``q`` (``nerve.validate_twists``).  The
     f-vector and Euler characteristic are k! times ``q``'s.  Homology is
-    that of ``lift`` of ``q``'s free-face collapse, which is a collapse of
-    the ordered complex (``abrams``' module docstring), so its Betti
-    numbers and torsion are the ordered complex's; ``ChainComplex`` checks
-    d^2 = 0 on it.
+    that of ``lift`` of ``q``'s free-face collapse, a collapse of the
+    ordered complex (``nerve.lift_faces``); ``ChainComplex`` checks d^2 = 0
+    on it.
     """
     validate_cover(q)
     width = factorial(q.k)

@@ -26,22 +26,17 @@ argument that this is exact is in ``homology``'s docstring.
 The homology of a model, and of an Abrams complex, as the CLI reports it,
 is computed on a free-face collapse, which removes cells before any matrix
 is built: ``nerve.collapse_free_faces`` of the complex, or, for the
-ordered model without ``--collapse``, the cover of the orbit nerve's
-collapse (``model.collapsed_cover``), which is a collapse of the ordered
-model made without building it.  An Abrams complex's is the collapse of
-its orbit complex, lifted (``abrams.lift``), likewise a collapse of the
-ordered cube complex made without building it.  That is exact over Z: a
-free face has one coface and occurs in it once, so its row of the
-boundary holds a single +-1, a unit pivot whose elimination creates no
-fill, and removing the pair keeps every Betti number and torsion
-coefficient.  The full complex is checked by its face identities:
-d_i d_j = d_{j-1} d_i for a model
-(``SemiSimplicialSet.validate_face_identities``, or, for that ordered
-model, the orbit nerve's identities and the cocycle conditions of
-``model.validate_cover``, which hold exactly when the cover's do), and
-the cubical ones for an Abrams complex, checked on its orbit complex with
-the cocycle conditions of ``abrams.validate_cover``.  They imply d^2 = 0 for the signs above;
-``ChainComplex`` checks d^2 = 0 on the collapsed complex it is given.
+ordered model without ``--collapse`` and for an Abrams complex, the lift
+of its orbit complex's collapse (``nerve.lift_faces``), a collapse of the
+ordered complex made without building it.  That is exact over Z: a free
+face has one coface and occurs in it once, so its row of the boundary
+holds a single +-1, a unit pivot whose elimination creates no fill, and
+removing the pair keeps every Betti number and torsion coefficient.  The
+full complex is checked by its face identities, d_i d_j = d_{j-1} d_i
+for a model and the cubical ones for an Abrams complex, and a cover's on
+its orbit complex with a cocycle per identity (``nerve.validate_twists``).
+They imply d^2 = 0 for the signs above; ``ChainComplex`` checks d^2 = 0
+on the collapsed complex it is given.
 """
 
 from dataclasses import dataclass

@@ -24,21 +24,10 @@ of those lifts, so its faces are index arithmetic on the orbit nerve's,
 and no configuration cell, face category or ordered composite is made.
 Chain (c, sigma), sigma applied to orbit chain c's lift, has faces
 d_0 = (f_0, sigma o lam_c) and d_b = (f_b, sigma) for b >= 1, lam_c the
-lift of c's second object (``orbit_cover``).
-
-A covering lifts the star of every cell isomorphically, and that is what
-the homology reports use (``collapsed_cover``).  The incidences of a
-chain (t, s) of the cover with the chains above it are the lifts of
-those of t in the orbit nerve: an incidence of t as face b of c lifts to
-the one incidence at (c, s), or at (c, s o lam_c^-1) when b = 0.  So if
-t is a free face of c, occurring once in it and in no other chain still
-there, each (t, s) is a free face of exactly one lift of c, the k! pairs
-are disjoint, and they are removed at once; what stays is again the
-cover of what stays below.  Each step of the orbit nerve's free-face
-collapse thus lifts to k! elementary collapses of the ordered model, and
-the cover of the collapsed orbit nerve is a collapse of the ordered
-model, found by a scan of a complex k! times smaller.  Its homology and
-components are the ordered model's.  It is not the ordered model's own
+lift of c's second object (``orbit_cover``): the twisted cover of
+``nerve.lift_faces``.  The cover of the orbit nerve's free-face collapse
+is a collapse of the ordered model, and the homology reports use it
+(``collapsed_cover``).  It is not the ordered model's own
 ``collapse_free_faces``, whose scan follows chain order, so
 ``model --collapse``, which prints that collapse's f-vector, and
 ``braidgroup``, which reads labels, still build the whole cover.
@@ -56,13 +45,16 @@ from operator import add
 
 from . import cells as cl
 from . import graphs as gr
-from .errors import InternalError
 from .nerve import (
     AcyclicCategory,
+    Permutations,
     SemiSimplicialSet,
     arrow_label,
     build_nerve,
     collapse_free_faces,
+    lift_faces,
+    simplicial_identities,
+    validate_twists,
 )
 
 
@@ -319,102 +311,60 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
 
 def orbit_cover(g: gr.Graph, k: int) -> tuple:
     """What the ordered model is built from as the k!-sheeted cover of the
-    orbit nerve: (cat, orbit, perms, right).
-
-    ``cat`` is the orbit category on the canonical cells of (g, k), and
-    ``orbit`` its nerve with every chain c of level n >= 1 labelled by
-    lam_c, the rank of the lift of its second object.  An arrow's is its
-    target's lift; a longer chain's is its last face's, which has the same
-    second object.  Level 0, which has no second object, is labelled by 0.
-    ``perms`` lists the permutations of range(k) in lexicographic order, so
-    the identity has rank 0, and ``right[b][a]`` is the rank of
-    perms[a] o perms[b].  An empty nerve comes with no permutation, so no
-    k! table is made where no cell fits.
+    orbit nerve: (cat, orbit, perms, right).  ``cat`` is the orbit category
+    on the canonical cells of (g, k), and ``orbit`` its nerve with every
+    chain c of level n >= 1 labelled by lam_c, the rank of the lift of its
+    second object.  An arrow's is its target's lift; a longer chain's is its
+    last face's, which has the same second object.  Level 0, which has no
+    second object, is labelled by 0.  ``right`` is the
+    ``nerve.Permutations`` of range(k) and ``perms`` its list, or both are
+    empty with the nerve, so none is made where no cell fits.
     """
     cat = OrbitCategory(cl.canonical_cells(g, k))
     nerve = build_nerve(cat)
     if not nerve.labels:
         return cat, nerve, [], []
-    perms = list(permutations(range(k)))
-    rank = {p: i for i, p in enumerate(perms)}
-    right = [[rank[tuple(map(a.__getitem__, b))] for a in perms] for b in perms]
-    lams = [[0] * len(cat.objects), [rank[cat.lift(m[1])] for m in cat.arrows]]
+    right = Permutations(k)
+    lams = [[0] * len(cat.objects), [right.rank[cat.lift(m[1])] for m in cat.arrows]]
     for level in nerve.faces[2:]:
         lams.append(list(map(lams[-1].__getitem__, [fs[-1] for fs in level])))
-    return cat, SemiSimplicialSet(lams[: len(nerve.labels)], nerve.faces), perms, right
+    return cat, SemiSimplicialSet(lams[: len(nerve.labels)], nerve.faces), right.perms, right
 
 
-def validate_cover(orbit: SemiSimplicialSet, right: list) -> None:
+def _twists(orbit: SemiSimplicialSet) -> list:
+    """The orbit nerve's twists (``nerve.lift_faces``): lam at slot 0, None elsewhere."""
+    return [[]] + [[lam] + [None] * n for n, lam in enumerate(orbit.labels[1:], 1)]
+
+
+def validate_cover(orbit: SemiSimplicialSet, right) -> None:
     """Check that ``cover(orbit, right)`` satisfies the face identities, with
-    no chain of the cover made: ``orbit``'s own identities, and on every
-    chain c of level n >= 2, with faces f_0 .. f_n, the cocycle conditions
-
-    - lam_{f_b} = lam_c for 2 <= b <= n;
-    - lam_{f_1} = lam_c o lam_{f_0}, which is ``right[lam_{f_0}][lam_c]``.
-
-    The cover's faces are D_0(c, s) = (f_0, s o lam_c) and D_b(c, s) =
-    (f_b, s) for b >= 1, and it satisfies d_a d_b = d_{b-1} d_a (a < b)
-    exactly when these and the orbit identities hold:
-
-    - a >= 1: both sides keep s, so D_a D_b (c, s) = ((f_b)_a, s) and
-      D_{b-1} D_a (c, s) = ((f_a)_{b-1}, s), equal iff the orbit identity
-      holds;
-    - a = 0 < 2 <= b: D_0 D_b (c, s) = ((f_b)_0, s o lam_{f_b}) and
-      D_{b-1} D_0 (c, s) = ((f_0)_{b-1}, s o lam_c), as b - 1 >= 1: the
-      orbit identity and lam_{f_b} = lam_c;
-    - (a, b) = (0, 1): D_0 D_1 (c, s) = ((f_1)_0, s o lam_{f_1}) and
-      D_0 D_0 (c, s) = ((f_0)_0, s o lam_c o lam_{f_0}): the orbit identity
-      and lam_{f_1} = lam_c o lam_{f_0}.
-
-    Each condition is read at one s, as composing with s is injective.  The
-    cover's faces have the arity of ``orbit``'s and are in range exactly
-    when those are, so its whole check passes exactly when this one does.
-    Any failure raises ``InternalError``.
+    no chain of the cover made (``nerve.validate_twists``).  With the
+    nerve's twists, the cocycle of d_a d_b = d_{b-1} d_a (a < b) on a chain
+    c with faces f_0 .. f_n holds for a >= 1, and is lam_{f_b} = lam_c for
+    a = 0 < 2 <= b and lam_{f_1} = lam_c o lam_{f_0} for (a, b) = (0, 1).
     """
-    orbit.validate_face_identities()
-    lams = orbit.labels
-    for n in range(2, len(lams)):
-        lam, lower, level = lams[n], lams[n - 1], orbit.faces[n]
-        for b in range(1, n + 1):
-            got = [lower[fs[b]] for fs in level]
-            want = lam if b > 1 else [right[lower[fs[0]]][c] for fs, c in zip(level, lam)]
-            if got != want:
-                idx = next(x for x, (u, v) in enumerate(zip(got, want)) if u != v)
-                raise InternalError(f"lift cocycle fails at dim {n} chain {idx} (face {b})")
+    validate_twists(
+        orbit.labels, orbit.faces, lambda n: n + 1, simplicial_identities, _twists(orbit),
+        right, None, "lift cocycle fails at dim {n} chain {idx}",
+    )
 
 
-def cover(orbit: SemiSimplicialSet, right: list) -> SemiSimplicialSet:
+def cover(orbit: SemiSimplicialSet, right) -> SemiSimplicialSet:
     """The k!-sheeted cover of ``orbit``, a sub-complex of the orbit nerve
-    labelled by lam as ``orbit_cover`` labels it: chain (c, i), perms[i]
-    applied to chain c's lift with a canonical bottom cell, at index
-    c * k! + i, labelled by that index.  Its faces are
-    d_0 = f_0 * k! + ``right[lam_c][i]`` and d_b = f_b * k! + i (b >= 1).
-    Nothing is sorted, so the chains are not in the ordered model's order.
-    """
-    width = len(right)
-    faces = [[] for _ in orbit.faces[:1]]
-    for lam, level in zip(orbit.labels[1:], orbit.faces[1:]):
-        lifted = []
-        for lam_c, (f0, *rest) in zip(lam, level):
-            lifted.extend(
-                zip(
-                    [f0 * width + i for i in right[lam_c]],
-                    *[range(f * width, f * width + width) for f in rest],
-                )
-            )
-        faces.append(lifted)
-    return SemiSimplicialSet([range(len(level) * width) for level in orbit.labels], faces)
+    labelled by lam as ``orbit_cover`` labels it (``nerve.lift_faces``):
+    chain (c, i), perms[i] applied to chain c's lift with a canonical
+    bottom cell, at index c * k! + i, labelled by that index.  Nothing is
+    sorted, so the chains are not in the ordered model's order."""
+    labels = [range(len(level) * len(right)) for level in orbit.labels]
+    return SemiSimplicialSet(labels, lift_faces(orbit.faces, _twists(orbit), right, None))
 
 
 def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
     """(fvector, small): the ordered model's f-vector, and a collapse of it
-    by free faces, the cover of the orbit nerve's (see the module
-    docstring), with leaves removed first if ``drop_leaves``.
-
-    The face identities of the whole ordered model are checked on the orbit
-    nerve (``validate_cover``), and neither the ordered model nor its
-    labels are made.  What reads neither order nor labels, the homology
-    reports, needs no more.
+    by free faces, the cover of the orbit nerve's, with leaves removed
+    first if ``drop_leaves``.  The whole ordered model is checked on the
+    orbit nerve (``validate_cover``), and neither it nor its labels are
+    made: the homology reports read neither order nor labels.
     """
     if drop_leaves:
         g = gr.remove_leaves(g)
@@ -448,7 +398,7 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     if not orbit.labels:
         return SemiSimplicialSet([], [])
     lams, orbit = orbit.labels, orbit.faces
-    width = len(perms)
+    width, inverse, right = len(perms), right.inverse, right.rows
     # the cover index of sigma . x, for x an object or chain of the orbit
     # nerve, is x * width + rank(sigma); pos maps it to the ordered position
     members = [cat.member(r, p) for r in range(len(cat.objects)) for p in perms]
@@ -466,7 +416,6 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     moves = [[] for _ in cat.objects]
     for a, m in enumerate(cat.arrows):
         moves[m[0]].append((a, cat.arrow_faces(m)[0] * width, lams[1][a], m[2]))
-    inverse = [tuple(sorted(range(k), key=p.__getitem__)) for p in perms]
     bars = ["|" + label for label in objects]
     data_label = cache(cl.data_label)
 

@@ -21,10 +21,13 @@ arrow list, with no lookup of a chain by its arrows: the last face is the
 parent, the one before extends the parent's by a composite, and each other
 face, d_0 included, extends the parent's face of that number by the new
 arrow.  A chain's label is its parent's plus its new top object.
+
+The S_k-covers of the orbit nerve and of the orbit cube complex share one
+check (``validate_twists``) and one lift (``lift_faces``).
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 
 from .errors import EmptyComplex, InternalError, InvalidCategory, NonComposable, NonFreeAction
 
@@ -170,10 +173,10 @@ class SemiSimplicialSet:
         terms d_i d_j c and d_{j-1} d_i c (i < j) have signs (-1)^(i+j) and
         (-1)^(i+j-1) and cancel.
         """
-        validate_faces(self.labels, self.faces, lambda n: n + 1, _simplicial_identities)
+        validate_faces(self.labels, self.faces, lambda n: n + 1, simplicial_identities)
 
 
-def _simplicial_identities(n: int) -> list:
+def simplicial_identities(n: int) -> list:
     """d_i d_j = d_{j-1} d_i (i < j) on n-chains, as ``validate_faces`` reads them."""
     return [(j, i, i, j - 1) for j in range(1, n + 1) for i in range(j)]
 
@@ -193,7 +196,7 @@ def validate_faces(cells, faces, arity, identities) -> None:
         level, below, width = faces[n], len(cells[n - 1]), arity(n)
         if len(level) != len(cells[n]):
             raise InternalError(f"face count does not match chain count at dim {n}")
-        if any(len(fs) != width for fs in level):
+        if any(map(width.__ne__, map(len, level))):
             raise InternalError(f"a chain at dim {n} does not have {width} faces")
         flat = list(chain.from_iterable(level))
         lo, hi = min(flat, default=0), max(flat, default=0)
@@ -211,6 +214,112 @@ def validate_faces(cells, faces, arity, identities) -> None:
                 raise InternalError(
                     f"face identity fails at dim {n} chain {idx} (face {b} of face {a})"
                 )
+
+
+class Permutations:
+    """The permutations of range(k): ``perms`` in lexicographic order, so
+    the identity has rank 0, their ranks ``rank``, and ``inverse[i]``, the
+    inverse of perms[i].  ``rows[b][a]``, also ``self[b][a]``, is the rank
+    of perms[a] o perms[b].  A row is made on first use, as twists take few
+    values and a whole table would hold (k!)^2 ranks."""
+
+    def __init__(self, k: int):
+        self.perms = list(permutations(range(k)))
+        self.rank = {p: i for i, p in enumerate(self.perms)}
+        self.inverse = [tuple(sorted(range(k), key=p.__getitem__)) for p in self.perms]
+        self.rows = _Rows()
+        self.rows.perms, self.rows.rank = self.perms, self.rank
+
+    def __len__(self) -> int:
+        return len(self.perms)
+
+    def __getitem__(self, b: int) -> list:
+        return self.rows[b]
+
+
+class _Rows(dict):
+    """``Permutations.rows``: a dict, so a lookup runs at C speed."""
+
+    def __missing__(self, b: int) -> list:
+        got = self[b] = [self.rank[tuple(map(a.__getitem__, self.perms[b]))] for a in self.perms]
+        return got
+
+
+def validate_twists(cells, faces, arity, identities, twists, group, admit, failure) -> None:
+    """Check that the cover ``lift_faces(faces, twists, group, ...)`` of an
+    orbit complex satisfies its face identities, with no cell of it made.
+
+    ``twists[n][s]`` lists, over the cells x of level n, the rank in
+    ``group`` of the twist t_{x,s} of face slot s, or is None where all are
+    the identity.  The check is ``validate_faces``, every twist in range,
+    ``admit(n, twists[n])`` if given, and for each identity (a, b, c, e) of
+    ``identities(n)`` and cell x of level n >= 2 the cocycle
+    t_{x,a} o t_{x_a,b} = t_{x,c} o t_{x_c,e}, x_a face a of x, whose
+    failure ``failure`` formats with n and the cell idx.  Face b of face a
+    of (x, sigma) is ((x_a)_b, sigma o t_{x,a} o t_{x_a,b}), so the identity
+    holds on the cover exactly when it holds on the orbit complex and the
+    cocycle does (composing with sigma is injective).  Any failure raises
+    ``InternalError``.
+    """
+    validate_faces(cells, faces, arity, identities)
+    width, below = len(group), []
+    for n in range(1, len(cells)):
+        level = twists[n]
+        for s, col in enumerate(level):
+            if col and not 0 <= min(col) <= max(col) < width:
+                raise InternalError(f"twist out of range at dim {n} (face {s})")
+        if admit is not None:
+            admit(n, level)
+        zero = [0] * len(faces[n])
+        for a, b, c, e in identities(n) if n > 1 else ():
+            left = _composite(faces[n], a, level[a], below[b], group) or zero
+            right = _composite(faces[n], c, level[c], below[e], group) or zero
+            if left != right:
+                idx = next(x for x, (u, v) in enumerate(zip(left, right)) if u != v)
+                raise InternalError(failure.format(n=n, idx=idx) + f" (face {b} of face {a})")
+        below = level
+
+
+def _composite(faces, a, top, lower, group):
+    """Per cell x with faces ``faces``, the rank of t_{x,a} o t_{x_a,b}, from
+    the twists ``top`` at slot a and ``lower`` one level down at slot b."""
+    if lower is None:
+        return top
+    if top is None:
+        return [lower[fs[a]] for fs in faces]
+    rows = group.rows
+    return [rows[lower[fs[a]]][t] for fs, t in zip(faces, top)]
+
+
+def lift_faces(faces, twists, group, order) -> list:
+    """The faces of the k!-sheeted cover of an orbit complex with the twists
+    ``twists`` (``validate_twists``): cell (x, i), perms[i] applied to x, at
+    index x * k! + i, has at slot s the face x_s * k! + rank(perms[i] o
+    t_{x,s}), and ``order[n][i]``, if ``order`` is given, puts its slots in
+    its own order.  Nothing is sorted.  The nerve's twists are lam_x at
+    slot 0 (``model.cover``), the cube complex's the relocations rho^-1, in
+    each cube's tuple order (``abrams.lift``).
+
+    A covering lifts the star of every cell isomorphically: an incidence of
+    y as face s of x, twisted by t, lifts to exactly one incidence of each
+    lift (y, tau), at (x, sigma) for the one sigma with sigma o t = tau.  So
+    if y is a free face of x, each of its k! lifts is a free face of one
+    lift of x, the k! pairs are disjoint, and what stays is again the cover
+    of what stays below: the lift of the orbit complex's free-face collapse
+    is a collapse of the cover, found by a scan k! times smaller.
+    """
+    lifted = [[] for _ in faces[:1]]
+    for n in range(1, len(faces)):
+        width, rows, sheets, level = len(group), group.rows, order and order[n], []
+        twisted = zip(*[repeat(0) if col is None else col for col in twists[n]])
+        for fs, ts in zip(faces[n], twisted):
+            bases = [f * width for f in fs]
+            lifts = zip(
+                *[[f + x for x in rows[t]] if t else range(f, f + width) for f, t in zip(bases, ts)]
+            )
+            level.extend([get(lf) for get, lf in zip(sheets, lifts)] if sheets else lifts)
+        lifted.append(level)
+    return lifted
 
 
 def build_nerve(cat) -> SemiSimplicialSet:
@@ -381,9 +490,10 @@ def collapse_free_faces(s: SemiSimplicialSet) -> SemiSimplicialSet:
     Neither the scan nor ``restrict`` reads how many faces a chain has, so
     a cube complex stored the same way (``abrams.free_face_collapse``) collapses
     here too.  Nor do they read labels, which ``restrict`` carries along:
-    ``model.collapsed_cover`` labels the orbit nerve by what its lift needs,
-    and ``abrams.free_face_collapse`` labels cubes by index, to keep their
-    relocations.
+    ``model.collapsed_cover`` labels the orbit nerve by its twists, and
+    ``abrams.free_face_collapse`` labels cubes by index, to keep theirs.
+    The collapse of an orbit complex lifts to a collapse of its cover
+    (``lift_faces``).
     """
     alive =[[True] * len(level) for level in s.labels]
     # cofaces[n][t]: the (n+1)-chains having t as a face, once per incidence
