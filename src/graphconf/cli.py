@@ -24,7 +24,7 @@ from .abrams import (
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import collapsed_cover, model_complex
+from .model import checked_cover, collapsed_cover, cover, cover_chain_complex, model_complex
 from .nerve import SemiSimplicialSet, collapse_free_faces, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
@@ -93,28 +93,48 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     components.  F-vector, dimension and Euler characteristic are those of
     the full complex, or of the collapse when ``collapse`` is set.
 
-    The ordered model's reports without ``--collapse`` (``model`` and
-    ``compare``) do not come here: they are ``_collapsed_report`` of
+    The ordered model's reports do not come here.  Without ``--collapse``
+    (``model`` and ``compare``) they are ``_collapsed_report`` of
     ``model.collapsed_cover``, which checks and collapses the orbit nerve
-    and never builds the ordered model.
+    and never builds the ordered model.  ``model --collapse`` reads this
+    collapse's f-vector and components, and reduces the orbit nerve over
+    Z[S_k] for the homology (``cmd_model``).
     """
     s.validate_face_identities()
     small = collapse_free_faces(s)
-    return _collapsed_report((small if collapse else s).fvector(), small)
+    fvector = (small if collapse else s).fvector()
+    return _report(fvector, chain_complex(small), len(connected_components(small)))
 
 
-def _collapsed_report(fvector, small: SemiSimplicialSet) -> dict:
-    """Report of a model with f-vector ``fvector`` whose homology and
-    components are read off ``small``, a collapse of it.  ``ChainComplex``
-    checks d^2 = 0 on the collapse it reduces.  A collapse can empty the top
-    levels, so the homology is padded with zeros up to the model's
+def _collapsed_report(fvector, small: SemiSimplicialSet, right) -> dict:
+    """Report of the ordered model from ``model.collapsed_cover``: its
+    f-vector ``fvector``, and ``small``, the collapsed orbit nerve labelled
+    by lam, whose cover by ``right`` is a collapse of the model.  Homology
+    is that of ``model.cover_chain_complex``: the orbit boundaries reduced
+    over Z[S_k], where d^2 = 0 is checked, and only the residue lifted, on
+    which ``ChainComplex`` checks it again.  Components depend on the
+    monodromy of lam, not on the orbit nerve alone, so they come from the
+    union-find on the cover's levels 0 and 1, lifted with no matrix."""
+    skeleton = SemiSimplicialSet(small.labels[:2], small.faces[:2])
+    return _report(
+        fvector,
+        cover_chain_complex(small, right),
+        len(connected_components(cover(skeleton, right))),
+    )
+
+
+def _report(fvector, cc, components: int) -> dict:
+    """Report of a model with f-vector ``fvector`` and ``components``
+    components, whose homology is that of ``cc``, the chain complex of a
+    collapse of it or one with the same homology.  A collapse can empty the
+    top levels, so the homology is padded with zeros up to the model's
     dimension."""
     return {
         "fvector": list(fvector),
         "dimension": len(fvector) - 1 if fvector and fvector[0] else None,
         "euler": sum((-1) ** n * size for n, size in enumerate(fvector)),
-        **_padded_homology(chain_complex(small), len(fvector)),
-        "components": len(connected_components(small)),
+        **_padded_homology(cc, len(fvector)),
+        "components": components,
     }
 
 
@@ -138,11 +158,16 @@ def _abrams_report(q: AbramsComplex) -> dict:
 
 
 def _padded_homology(cc, levels: int) -> dict:
-    """Betti numbers and torsion of ``cc``, padded with zeros up to
-    ``levels`` dimensions: a collapse can empty the top levels."""
+    """Betti numbers and torsion of ``cc`` in ``levels`` dimensions, padded
+    with zeros: a collapse can empty the top levels.  ``cc`` can also have
+    more levels, as the whole orbit nerve has for ``model --collapse``;
+    its homology there is zero, as the collapse printed has no cell."""
     hom = homology(cc)
     pad = levels - len(hom.betti)
-    return {"betti": hom.betti + [0] * pad, "torsion": hom.torsion + [[] for _ in range(pad)]}
+    return {
+        "betti": hom.betti[:levels] + [0] * pad,
+        "torsion": hom.torsion[:levels] + [[] for _ in range(pad)],
+    }
 
 
 def cmd_gen(args) -> dict:
@@ -170,9 +195,19 @@ def cmd_model(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    if args.quotient or args.collapse:
-        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=args.quotient)
+    if args.quotient:
+        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True)
         return _report_of_complex(s, collapse=args.collapse)
+    if args.collapse:
+        # the f-vector and components are those of the ordered model's own
+        # collapse, whose scan follows chain order; the homology is reduced
+        # over Z[S_k] on the whole orbit nerve, so no other collapse is made
+        s = model_complex(g, args.k, drop_leaves=args.remove_leaves)
+        s.validate_face_identities()
+        small = collapse_free_faces(s)
+        _, orbit, right = checked_cover(g, args.k, drop_leaves=args.remove_leaves)
+        cc = cover_chain_complex(orbit, right)
+        return _report(small.fvector(), cc, len(connected_components(small)))
     # the report reads neither chain order nor labels
     return _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
 

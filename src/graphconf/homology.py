@@ -23,24 +23,37 @@ with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and compress",
 cannot add to its image, so that column never reaches the sweep.  The
 argument that this is exact is in ``homology``'s docstring.
 
+The ordered model is the S_k-cover of the orbit nerve, so its chains are
+free Z[S_k]-modules on the orbit chains.  ``twisted_chain_complex``
+assembles the orbit boundaries over the group ring, checks d^2 = 0 there,
+reduces them with ``_group_ring_sweep``, the unit-pivot sweep on entries
++-[pi] with the same Markowitz heap and the same clearing, and lifts only
+the residue to the integers.  Each pivot is a Gaussian elimination in the
+sense of algebraic Morse theory (Skoeldberg, "Morse theory from an
+algebraic viewpoint", Trans. AMS 2006), and its lift k! disjoint integer
+unit pivots, so the residue has the cover's homology.
+
 The homology of a model, and of an Abrams complex, as the CLI reports it,
 is computed on a free-face collapse, which removes cells before any matrix
-is built: ``nerve.collapse_free_faces`` of the complex, or, for the
-ordered model without ``--collapse`` and for an Abrams complex, the lift
-of its orbit complex's collapse (``nerve.lift_faces``), a collapse of the
-ordered complex made without building it.  That is exact over Z: a free
-face has one coface and occurs in it once, so its row of the boundary
-holds a single +-1, a unit pivot whose elimination creates no fill, and
-removing the pair keeps every Betti number and torsion coefficient.  The
-full complex is checked by its face identities, d_i d_j = d_{j-1} d_i
-for a model and the cubical ones for an Abrams complex, and a cover's on
-its orbit complex with a cocycle per identity (``nerve.validate_twists``).
-They imply d^2 = 0 for the signs above; ``ChainComplex`` checks d^2 = 0
-on the collapsed complex it is given.
+is built: ``nerve.collapse_free_faces`` of the complex, or, for an Abrams
+complex, the lift of its orbit complex's collapse (``nerve.lift_faces``),
+a collapse of the ordered complex made without building it.  The ordered
+model's reports reduce its orbit nerve over Z[S_k] instead: the collapsed
+one without ``--collapse``, the whole one with it.  A collapse is exact
+over Z: a free face has one coface and occurs in it once, so its row of
+the boundary holds a single +-1, a unit pivot whose elimination creates no
+fill, and removing the pair keeps every Betti number and torsion
+coefficient.  The full complex is checked by its face identities,
+d_i d_j = d_{j-1} d_i for a model and the cubical ones for an Abrams
+complex, and a cover's on its orbit complex with a cocycle per identity
+(``nerve.validate_twists``).  They imply d^2 = 0 for the signs above;
+``ChainComplex`` checks d^2 = 0 on the collapsed complex or the lifted
+residue it is given.
 """
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 
 from .errors import NotAComplex
 from .nerve import SemiSimplicialSet, min_roots
@@ -86,9 +99,15 @@ def _product_is_zero(a: dict, b: dict) -> bool:
     return all(v == 0 for v in acc.values())
 
 
+def alternating_signs(n: int) -> list:
+    """The slot signs of d = sum_i (-1)^i d_i on the n-chains of a
+    semi-simplicial set, as ``face_chain_complex`` reads them."""
+    return [(-1) ** i for i in range(n + 1)]
+
+
 def chain_complex(s: SemiSimplicialSet) -> ChainComplex:
     """Cellular chain complex of a semi-simplicial set, d = sum_i (-1)^i d_i."""
-    return face_chain_complex(s.labels, s.faces, lambda n: [(-1) ** i for i in range(n + 1)])
+    return face_chain_complex(s.labels, s.faces, alternating_signs)
 
 
 def face_chain_complex(cells, faces, signs) -> ChainComplex:
@@ -105,6 +124,119 @@ def face_chain_complex(cells, faces, signs) -> ChainComplex:
                 mat[key] = mat.get(key, 0) + sign
         boundaries.append({k: v for k, v in mat.items() if v})
     return ChainComplex([len(level) for level in cells], boundaries)
+
+
+def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
+    """A chain complex with the homology of the k!-sheeted cover
+    ``nerve.lift_faces(faces, twists, group, None)`` of an orbit complex,
+    whose boundary on level n is sum_s signs(n)[s] d_s: its boundaries over
+    the group ring Z[G], G = ``group``, reduced there, and only the residue
+    lifted to the integers.
+
+    Cell (x, i) of the cover, at x * k! + i, has at slot s the face
+    (x_s, rows[t][i]), t the twist t_{x,s}.  So its chains are free
+    Z[G]-modules on the orbit cells, and its boundary is the orbit matrix
+    with entry sum_s signs(n)[s] [t_{x,s}] at (x_s, x): a
+    ``{rank: coefficient}`` dict, assembled as ``face_chain_complex`` does.
+    Entry [t] at (r, c) lifts to the k! entries at (r * k! + rows[t][i],
+    c * k! + i).  Then [t] [u] = [rows[t][u]] makes the lift B a ring map,
+    B([t]) B([u]) = B([rows[t][u]]), so it lifts products of matrices, and
+    d^2 = 0 is checked on the orbit matrices, k! times smaller.
+
+    The orbit matrices are reduced from the top down by
+    ``_group_ring_sweep``, which pivots on entries +-[pi], units of Z[G]
+    whose lifts are signed permutation matrices.  Each pivot is a Gaussian
+    elimination (Skoeldberg, "Morse theory from an algebraic viewpoint",
+    Trans. AMS 2006): for a unit u at (r, c) of d_n, the complex is
+    homotopy equivalent to the one without cells r and c, where d_n becomes
+    its Schur complement, the sweep's row operations, d_{n+1} loses row c
+    and d_{n-1} loses column r.  So each level drops, as columns, the rows
+    that the sweep of the level above pivoted on, which is ``homology``'s
+    clearing, and the residue of d_n drops, as rows, the columns that the
+    sweep of d_{n-1} pivots on.  Lifted, each step is an integer Gaussian
+    elimination on the pivot block B(u), so the lift of the residue, which
+    ``ChainComplex`` checks again, has the cover's homology.
+    """
+    if not cells:
+        return ChainComplex([], [])
+    rows, width = group.rows, len(group)
+    inverse = [group.rank[p] for p in group.inverse]
+    orbit = _group_ring_boundaries(faces, twists, signs)
+    for n in range(len(orbit) - 1):
+        if not _group_ring_product_is_zero(orbit[n], orbit[n + 1], rows):
+            raise NotAComplex(
+                f"boundary squared is nonzero over Z[S_k] between dims {n + 2} and {n}"
+            )
+    cores, gone = [None] * len(orbit), [set() for _ in cells]
+    cleared: set = set()
+    for n in reversed(range(len(orbit))):
+        mat = orbit[n]
+        if cleared:
+            mat = {key: x for key, x in mat.items() if key[1] not in cleared}
+        cores[n], pivots = _group_ring_sweep(mat, rows, inverse)
+        cleared = {r for r, _ in pivots}
+        gone[n] |= cleared
+        gone[n + 1].update(c for _, c in pivots)
+    # the residue's cells, numbered in order; a core's columns are all kept
+    kept = [
+        {x: j for j, x in enumerate(x for x in range(len(level)) if x not in out)}
+        for level, out in zip(cells, gone)
+    ]
+    boundaries = []
+    for core, below, above in zip(cores, kept, kept[1:]):
+        # a row missing from ``below`` is a pivot column of the sweep below
+        residue = {(below[r], above[c]): x for (r, c), x in core.items() if r in below}
+        boundaries.append(_lift(residue, rows, width))
+    return ChainComplex([width * len(level) for level in kept], boundaries)
+
+
+def _lift(mat: dict, rows, width: int) -> dict:
+    """The integer matrix of a matrix over Z[G]: entry [t] at (r, c) goes
+    to the ``width`` = |G| entries at (r * width + rows[t][i], c * width + i)."""
+    lifted = {}
+    for (r, c), x in mat.items():
+        r, c = r * width, c * width
+        for t, a in x.items():
+            lifted.update(zip(zip(map(r.__add__, rows[t]), range(c, c + width)), repeat(a)))
+    return lifted
+
+
+def _group_ring_boundaries(faces, twists, signs) -> list:
+    """The boundaries of an orbit complex with twists over Z[G], entry
+    (x_s, x) -> {rank of t: coefficient} (``twisted_chain_complex``)."""
+    boundaries = []
+    for n in range(1, len(faces)):
+        mat: dict[tuple[int, int], dict] = {}
+        slot_signs = signs(n)
+        twisted = zip(*[repeat(0) if col is None else col for col in twists[n]])
+        for j, (fs, ts) in enumerate(zip(faces[n], twisted)):
+            for f, t, sign in zip(fs, ts, slot_signs):
+                x = mat.setdefault((f, j), {})
+                v = x.get(t, 0) + sign
+                if v:
+                    x[t] = v
+                else:
+                    del x[t]
+        boundaries.append({key: x for key, x in mat.items() if x})
+    return boundaries
+
+
+def _group_ring_product_is_zero(a: dict, b: dict, rows) -> bool:
+    """Whether the product of two matrices over Z[G] vanishes, with
+    [t] [u] = [rows[t][u]]."""
+    rows_of_b: dict[int, list] = {}
+    for (r, c), y in b.items():
+        rows_of_b.setdefault(r, []).append((c, y))
+    acc: dict[tuple[int, int], dict] = {}
+    for (r, mid), x in a.items():
+        for c, y in rows_of_b.get(mid, ()):  # a[r,mid] * b[mid,c]
+            z = acc.setdefault((r, c), {})
+            for t, p in x.items():
+                row = rows[t]
+                for u, q in y.items():
+                    g = row[u]
+                    z[g] = z.get(g, 0) + p * q
+    return not any(any(z.values()) for z in acc.values())
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -182,6 +314,83 @@ def _unit_pivot_sweep(entries: dict) -> tuple[int, dict, list]:
                 del rows[rr]
     core = {(r, c): v for r, row in rows.items() for c, v in row.items()}
     return len(pivots), core, pivots
+
+
+def _group_ring_sweep(entries: dict, rows, inverse) -> tuple[dict, list]:
+    """``_unit_pivot_sweep`` over Z[G]: eliminate +-[pi] pivots.
+
+    An entry is a ``{rank: coefficient}`` dict, multiplied as [t] [u] =
+    [rows[t][u]], and ``inverse[p]`` is the rank of the inverse of p.  A
+    pivot is an entry with one term of coefficient +-1, a unit: u = e[p]
+    has inverse e[inverse[p]].  Pivots are taken in the same Markowitz
+    order, from the same heap with lazy invalidation, and each step clears
+    its column by row operations only, row rr -= (M[rr, c] u^-1) row r,
+    and drops row r, so what is left of d is its Schur complement
+    M[rr, cc] - M[rr, c] u^-1 M[r, cc].  Returns (the core, the (row, col)
+    pairs pivoted on, in pivot order).  Fill can make an entry of several
+    terms, which is never a pivot; any pivot order gives the same homology.
+    The entries' dicts are updated in place.
+    """
+    mat: dict[int, dict[int, dict]] = {}
+    cols: dict[int, set] = {}
+    for (r, c), x in entries.items():
+        mat.setdefault(r, {})[c] = x
+        cols.setdefault(c, set()).add(r)
+
+    def cost(r, c):
+        return (len(mat[r]) - 1) * (len(cols[c]) - 1)
+
+    def unit(x):
+        return len(x) == 1 and next(iter(x.values())) in (1, -1)
+
+    heap = [(cost(r, c), r, c) for (r, c), x in entries.items() if unit(x)]
+    heapify(heap)
+    pivots = []
+    while heap:
+        key, r, c = heappop(heap)
+        row = mat.get(r)
+        x = row.get(c) if row is not None else None
+        if x is None or not unit(x):
+            continue
+        now = cost(r, c)
+        if now != key:
+            heappush(heap, (now, r, c))
+            continue
+        ((p, e),) = x.items()
+        q = inverse[p]
+        pivots.append((r, c))
+        row_r = mat.pop(r)
+        for cc in row_r:
+            cols[cc].discard(r)
+        for rr in cols.pop(c):
+            target = mat[rr]
+            # the multiplier M[rr, c] u^-1 of row r, each term [f] as rows[f]
+            factor = [(rows[rows[t][q]], a * e) for t, a in target.pop(c).items()]
+            for cc, v in row_r.items():
+                if cc == c:
+                    continue
+                z = target.get(cc)
+                if z is None:
+                    z = target[cc] = {}
+                    cols[cc].add(rr)
+                for row_f, a in factor:
+                    for u, b in v.items():
+                        g = row_f[u]
+                        w = z.get(g, 0) - a * b
+                        if w:
+                            z[g] = w
+                        else:
+                            del z[g]
+                if z:
+                    if unit(z):
+                        heappush(heap, (cost(rr, cc), rr, cc))
+                else:
+                    del target[cc]
+                    cols[cc].discard(rr)
+            if not target:
+                del mat[rr]
+    core = {(r, c): x for r, row in mat.items() for c, x in row.items()}
+    return core, pivots
 
 
 def _dense_smith(entries: dict) -> list:

@@ -25,12 +25,17 @@ and no configuration cell, face category or ordered composite is made.
 Chain (c, sigma), sigma applied to orbit chain c's lift, has faces
 d_0 = (f_0, sigma o lam_c) and d_b = (f_b, sigma) for b >= 1, lam_c the
 lift of c's second object (``orbit_cover``): the twisted cover of
-``nerve.lift_faces``.  The cover of the orbit nerve's free-face collapse
-is a collapse of the ordered model, and the homology reports use it
-(``collapsed_cover``).  It is not the ordered model's own
-``collapse_free_faces``, whose scan follows chain order, so
-``model --collapse``, which prints that collapse's f-vector, and
-``braidgroup``, which reads labels, still build the whole cover.
+``nerve.lift_faces``.  So the ordered model's chains are free
+Z[S_k]-modules on the orbit chains, and the homology reports reduce the
+orbit nerve's boundaries over Z[S_k] and lift only the residue
+(``cover_chain_complex``).  Without ``--collapse`` they reduce the orbit
+nerve's free-face collapse, whose cover is a collapse of the ordered model
+(``collapsed_cover``), and count components on that cover's levels 0 and
+1.  That cover is not the ordered model's own ``collapse_free_faces``,
+whose scan follows chain order, so ``model --collapse``, which prints that
+collapse's f-vector and components, and ``braidgroup``, which reads
+labels, still build the whole cover; ``model --collapse`` takes its
+homology from the whole orbit nerve (``checked_cover``).
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
@@ -45,6 +50,7 @@ from operator import add
 
 from . import cells as cl
 from . import graphs as gr
+from .homology import ChainComplex, alternating_signs, twisted_chain_complex
 from .nerve import (
     AcyclicCategory,
     Permutations,
@@ -359,18 +365,39 @@ def cover(orbit: SemiSimplicialSet, right) -> SemiSimplicialSet:
     return SemiSimplicialSet(labels, lift_faces(orbit.faces, _twists(orbit), right, None))
 
 
-def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
-    """(fvector, small): the ordered model's f-vector, and a collapse of it
-    by free faces, the cover of the orbit nerve's, with leaves removed
-    first if ``drop_leaves``.  The whole ordered model is checked on the
-    orbit nerve (``validate_cover``), and neither it nor its labels are
-    made: the homology reports read neither order nor labels.
+def checked_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
+    """(fvector, orbit, right): the ordered model's f-vector, its orbit
+    nerve labelled by lam and the ``nerve.Permutations`` ``right`` of
+    ``orbit_cover``, with leaves removed first if ``drop_leaves``.  The
+    whole ordered model, ``cover(orbit, right)``, is checked on the orbit
+    nerve (``validate_cover``), and neither it nor its labels are made: the
+    homology reports read neither order nor labels, and
+    ``cover_chain_complex(orbit, right)`` has its homology.
     """
     if drop_leaves:
         g = gr.remove_leaves(g)
     _, orbit, _, right = orbit_cover(g, k)
     validate_cover(orbit, right)
-    return [len(right) * n for n in orbit.fvector()], cover(collapse_free_faces(orbit), right)
+    return [len(right) * n for n in orbit.fvector()], orbit, right
+
+
+def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
+    """(fvector, small, right): ``checked_cover`` with the orbit nerve's
+    free-face collapse ``small`` in place of it.  ``cover(small, right)`` is
+    a collapse of the ordered model (``nerve.lift_faces``), and
+    ``cover_chain_complex(small, right)`` has its homology.
+    """
+    fvector, orbit, right = checked_cover(g, k, drop_leaves)
+    return fvector, collapse_free_faces(orbit), right
+
+
+def cover_chain_complex(orbit: SemiSimplicialSet, right) -> ChainComplex:
+    """A chain complex with the homology of ``cover(orbit, right)``: the
+    orbit nerve's boundaries over Z[S_k], with lam at slot 0, reduced there,
+    and only the residue lifted (``homology.twisted_chain_complex``)."""
+    return twisted_chain_complex(
+        orbit.labels, orbit.faces, _twists(orbit), right, alternating_signs
+    )
 
 
 def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:

@@ -4,15 +4,79 @@ import pytest
 
 from graphconf import graphs as gr
 from graphconf.abrams import (
-    _orbit_rep,
+    _cube_signs,
     abrams_complex,
     check_abrams_conditions,
     cubical_chain_complex,
-    quotient,
 )
-from graphconf.errors import OpenEdge
-from graphconf.homology import chain_complex, homology
+from graphconf.errors import NonFreeAction, OpenEdge
+from graphconf.homology import ChainComplex, chain_complex, homology
 from graphconf.model import model_complex
+
+
+# The chain complex of an ordered cube complex divided by S_k, orbit by
+# orbit: the reference for the orbit complex, abrams_complex(g, k,
+# quotient=True), which replaced it in the program.
+
+def perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def orbit_rep(cube) -> tuple[tuple, int]:
+    """Sorted representative and the orientation sign of the relocation,
+    i.e. the parity of the induced permutation on edge factors."""
+    order = sorted(range(len(cube)), key=lambda i: cube[i])
+    rep = tuple(cube[i] for i in order)
+    edge_old = [i for i in range(len(cube)) if cube[i][0] == "e"]
+    rank_old = {i: p for p, i in enumerate(edge_old)}
+    edge_new_order = [i for i in order if i in rank_old]
+    perm = [rank_old[i] for i in edge_new_order]
+    return rep, perm_sign(perm)
+
+
+def quotient(a) -> ChainComplex:
+    """Chain complex of the orbit complex under coordinate permutations.
+
+    The action is free because cube factors are pairwise distinct.  Each
+    orbit is represented by its sorted member, whose faces are read by
+    index; a face goes to the row of its orbit with the orientation sign of
+    its edge-factor relocation.
+    """
+    for cube in a.all_cells():
+        for sigma in permutations(range(a.k)):
+            if sigma != tuple(range(a.k)) and tuple(cube[i] for i in sigma) == cube:
+                raise NonFreeAction("repeated factors in a cube cell")
+    sizes, boundaries = [], []
+    for n, level in enumerate(a.cells):
+        orbits = [orbit_rep(cube) for cube in level]
+        reps = sorted({rep for rep, _ in orbits})
+        if n:
+            position = {cube: i for i, cube in enumerate(level)}
+            signs, mat = _cube_signs(n), {}
+            for j, rep in enumerate(reps):
+                for f, sign in zip(a.faces[n][position[rep]], signs):
+                    key = (row[f], j)
+                    mat[key] = mat.get(key, 0) + sign * orient[f]
+            boundaries.append({key: v for key, v in mat.items() if v})
+        # row[f], orient[f]: the orbit row of cube f and its sign there,
+        # read as faces by the level above
+        rep_row = {rep: i for i, rep in enumerate(reps)}
+        row = [rep_row[rep] for rep, _ in orbits]
+        orient = [sign for _, sign in orbits]
+        sizes.append(len(reps))
+    return ChainComplex(sizes, boundaries)
 
 
 def reduced_betti(res):
@@ -148,7 +212,7 @@ def test_quotient_k3_dd_zero_with_orientations():
 )
 def test_orbit_rep_orientation_sign(cube, rep, sign):
     # the sign is the parity of the reordering of the edge factors alone
-    assert _orbit_rep(cube) == (rep, sign)
+    assert orbit_rep(cube) == (rep, sign)
 
 
 def test_free_action_on_cubes():

@@ -6,7 +6,7 @@ order.  ``reference_abrams_complex`` is the direct construction it
 replaced: every ordered tuple is enumerated depth-first, and a face is found
 by shifting the tuple's base-b code.  The two must agree cell for cell and
 face for face, and the orbit complex's chain complex must be the quotient
-of the ordered one that ``abrams.quotient`` computes.
+of the ordered one that the reference ``test_abrams.quotient`` computes.
 """
 
 from math import factorial
@@ -20,9 +20,9 @@ from graphconf.abrams import (
     abrams_complex,
     cubical_chain_complex,
     lift,
-    quotient,
     validate_cover,
 )
+from test_abrams import quotient
 from test_abrams_report import closed_multigraphs
 from test_orbit_nerve import k4
 

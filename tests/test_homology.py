@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import graphconf.homology as H
 from graphconf import graphs as gr
-from graphconf.abrams import abrams_complex, cubical_chain_complex, quotient
+from graphconf.abrams import abrams_complex, cubical_chain_complex
 from graphconf.errors import NotAComplex
 from graphconf.homology import (
     ChainComplex,
@@ -21,6 +21,7 @@ from graphconf.homology import (
     smith_normal_form,
 )
 from graphconf.model import model_complex
+from test_abrams import quotient
 from test_orbit_nerve import k33, small_multigraphs
 
 

@@ -295,3 +295,14 @@ def test_theta_betti_growth_at_large_k(k):
     s = model_complex(gr.theta_graph(), k, quotient=True)
     assert s.euler_characteristic() == gal_euler(gr.theta_graph(), k)
     assert trimmed_homology(gr.theta_graph(), k) == ([1, 3, comb(k - 2, 2)], [[], [], []])
+
+
+@pytest.mark.parametrize("k, beta_1", [(2, 13), (3, 29), (4, 51), (5, 79)])
+def test_xb_betti_growth(k, beta_1):
+    # `gen xb -x 2 -k 1 -l 1 -p 1 -q 1`: beta_1 = 3k^2 + k - 1 grows as a
+    # polynomial in k (An-Drummond-Cole-Knudsen, Geom. Topol. 2022), here
+    # of degree 2, and chi is Gal's value
+    s = model_complex(xb(), k, quotient=True)
+    assert s.euler_characteristic() == gal_euler(xb(), k)
+    betti, torsion = trimmed_homology(xb(), k)
+    assert betti[:2] == [1, beta_1] and torsion[1] == []
