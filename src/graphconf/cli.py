@@ -24,7 +24,15 @@ from .abrams import (
 )
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
-from .model import checked_cover, collapsed_cover, cover, cover_chain_complex, model_complex
+from .model import (
+    checked_cover,
+    collapsed_cover,
+    cover,
+    cover_chain_complex,
+    model_complex,
+    orbit_cover,
+    ordered_nerve,
+)
 from .nerve import SemiSimplicialSet, collapse_free_faces, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
 
@@ -201,11 +209,14 @@ def cmd_model(args) -> dict:
     if args.collapse:
         # the f-vector and components are those of the ordered model's own
         # collapse, whose scan follows chain order; the homology is reduced
-        # over Z[S_k] on the whole orbit nerve, so no other collapse is made
-        s = model_complex(g, args.k, drop_leaves=args.remove_leaves)
+        # over Z[S_k] on the whole orbit nerve, so no other collapse is made.
+        # The ordered model is the cover of that checked orbit nerve.
+        _, cover = checked_cover(g, args.k, drop_leaves=args.remove_leaves)
+        orbit, right = cover[1], cover[3]
+        s = ordered_nerve(cover)
+        del cover  # free the orbit category and the nerve's labels before the collapse
         s.validate_face_identities()
         small = collapse_free_faces(s)
-        _, orbit, right = checked_cover(g, args.k, drop_leaves=args.remove_leaves)
         cc = cover_chain_complex(orbit, right)
         return _report(small.fvector(), cc, len(connected_components(small)))
     # the report reads neither chain order nor labels
@@ -233,10 +244,15 @@ def cmd_braidgroup(args) -> dict:
         raise InputError("k must be >= 1")
     if args.remove_leaves:
         g = gr.remove_leaves(g)
-    return {
-        "ordered": _group_report(model_complex(g, args.k)),
-        "unordered": _group_report(model_complex(g, args.k, quotient=True)),
-    }
+    # one orbit nerve serves both sides: it is the unordered model, and the
+    # ordered model is its cover, built once the unordered report is made;
+    # the orbit category and the nerve's labels are freed before the ordered
+    # report, which holds the job's peak memory
+    cover = orbit_cover(g, args.k)
+    unordered = _group_report(cover[4])
+    ordered = ordered_nerve(cover)
+    del cover
+    return {"ordered": _group_report(ordered), "unordered": unordered}
 
 
 def _same_padded(a: list, b: list, fill) -> bool:

@@ -35,7 +35,14 @@ nerve's free-face collapse, whose cover is a collapse of the ordered model
 whose scan follows chain order, so ``model --collapse``, which prints that
 collapse's f-vector and components, and ``braidgroup``, which reads
 labels, still build the whole cover; ``model --collapse`` takes its
-homology from the whole orbit nerve (``checked_cover``).
+homology from the whole orbit nerve.
+
+One orbit nerve serves both sides.  ``orbit_cover`` builds it once and
+hands it back twice: labelled by lam, the base of the ordered model's
+cover, and with its own labels, the unordered model.  ``braidgroup``
+reports on the unordered model and then builds the ordered one from the
+same ``orbit_cover`` result, and ``model --collapse`` builds the ordered
+model from the orbit nerve whose cover it checks and reduces.
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
@@ -317,24 +324,27 @@ def orbit_nerve(objs: list) -> SemiSimplicialSet:
 
 def orbit_cover(g: gr.Graph, k: int) -> tuple:
     """What the ordered model is built from as the k!-sheeted cover of the
-    orbit nerve: (cat, orbit, perms, right).  ``cat`` is the orbit category
-    on the canonical cells of (g, k), and ``orbit`` its nerve with every
-    chain c of level n >= 1 labelled by lam_c, the rank of the lift of its
-    second object.  An arrow's is its target's lift; a longer chain's is its
+    orbit nerve: (cat, orbit, perms, right, nerve).  ``cat`` is the orbit
+    category on the canonical cells of (g, k), ``nerve`` its nerve, the
+    unordered model, and ``orbit`` the same nerve with every chain c of
+    level n >= 1 labelled by lam_c, the rank of the lift of its second
+    object.  An arrow's is its target's lift; a longer chain's is its
     last face's, which has the same second object.  Level 0, which has no
     second object, is labelled by 0.  ``right`` is the
     ``nerve.Permutations`` of range(k) and ``perms`` its list, or both are
-    empty with the nerve, so none is made where no cell fits.
+    empty with the nerve, so none is made where no cell fits.  ``orbit``
+    and ``nerve`` share their faces.
     """
     cat = OrbitCategory(cl.canonical_cells(g, k))
     nerve = build_nerve(cat)
     if not nerve.labels:
-        return cat, nerve, [], []
+        return cat, nerve, [], [], nerve
     right = Permutations(k)
     lams = [[0] * len(cat.objects), [right.rank[cat.lift(m[1])] for m in cat.arrows]]
     for level in nerve.faces[2:]:
         lams.append(list(map(lams[-1].__getitem__, [fs[-1] for fs in level])))
-    return cat, SemiSimplicialSet(lams[: len(nerve.labels)], nerve.faces), right.perms, right
+    orbit = SemiSimplicialSet(lams[: len(nerve.labels)], nerve.faces)
+    return cat, orbit, right.perms, right, nerve
 
 
 def _twists(orbit: SemiSimplicialSet) -> list:
@@ -366,28 +376,30 @@ def cover(orbit: SemiSimplicialSet, right) -> SemiSimplicialSet:
 
 
 def checked_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
-    """(fvector, orbit, right): the ordered model's f-vector, its orbit
-    nerve labelled by lam and the ``nerve.Permutations`` ``right`` of
-    ``orbit_cover``, with leaves removed first if ``drop_leaves``.  The
-    whole ordered model, ``cover(orbit, right)``, is checked on the orbit
-    nerve (``validate_cover``), and neither it nor its labels are made: the
-    homology reports read neither order nor labels, and
-    ``cover_chain_complex(orbit, right)`` has its homology.
+    """(fvector, cover): the ordered model's f-vector and ``orbit_cover``'s
+    result (cat, orbit, perms, right, nerve), with leaves removed first if
+    ``drop_leaves``.  The whole ordered model, ``cover(orbit, right)``, is
+    checked on the orbit nerve (``validate_cover``), and neither it nor its
+    labels are made: the homology reports read neither order nor labels,
+    and ``cover_chain_complex(orbit, right)`` has its homology.
     """
     if drop_leaves:
         g = gr.remove_leaves(g)
-    _, orbit, _, right = orbit_cover(g, k)
+    cover = orbit_cover(g, k)
+    orbit, right = cover[1], cover[3]
     validate_cover(orbit, right)
-    return [len(right) * n for n in orbit.fvector()], orbit, right
+    return [len(right) * n for n in orbit.fvector()], cover
 
 
 def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
     """(fvector, small, right): ``checked_cover`` with the orbit nerve's
-    free-face collapse ``small`` in place of it.  ``cover(small, right)`` is
-    a collapse of the ordered model (``nerve.lift_faces``), and
+    free-face collapse ``small`` in place of its result.  ``cover(small,
+    right)`` is a collapse of the ordered model (``nerve.lift_faces``), and
     ``cover_chain_complex(small, right)`` has its homology.
     """
-    fvector, orbit, right = checked_cover(g, k, drop_leaves)
+    fvector, cover = checked_cover(g, k, drop_leaves)
+    orbit, right = cover[1], cover[3]
+    del cover  # free the orbit category and the nerve's labels before the collapse
     return fvector, collapse_free_faces(orbit), right
 
 
@@ -400,11 +412,14 @@ def cover_chain_complex(orbit: SemiSimplicialSet, right) -> ChainComplex:
     )
 
 
-def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
+def ordered_nerve(cover: tuple) -> SemiSimplicialSet:
     """The ordered model, the nerve of the face category, as the k!-sheeted
-    cover of the orbit nerve: labels, chain order and faces are those of
+    cover of the orbit nerve, from ``cover``, the result of
+    ``orbit_cover(g, k)``: labels, chain order and faces are those of
     ``build_nerve(face_category(configuration_cells(g, k)))``, and no
-    configuration cell, face category or ordered composite is made.
+    configuration cell, face category or ordered composite is made.  The
+    orbit category is dropped before the chains of level 2 and up are made,
+    unless the caller still holds ``cover``.
 
     Each ordered chain is sigma . c^ for one permutation sigma and one orbit
     chain c, held as its lift c^ with a canonical bottom cell, and
@@ -421,7 +436,7 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     that arrow's position in the list out of the parent's end: the nerve's
     lexicographic order, placed with no sort and no lookup.
     """
-    cat, orbit, perms, right = orbit_cover(g, k)
+    cat, orbit, perms, right = cover[:4]
     if not orbit.labels:
         return SemiSimplicialSet([], [])
     lams, orbit = orbit.labels, orbit.faces
@@ -482,7 +497,7 @@ def ordered_nerve(g: gr.Graph, k: int) -> SemiSimplicialSet:
     paths = [f"{objects[arrow_faces[p][1]]}{bars[arrow_faces[p][0]]}" for p in pos]
     ends = [t for t, _ in arrow_faces]  # by ordered position: the level-0 position of its end
     # the longer chains, most of the model, need none of these
-    del cat, members, order, moves
+    del cat, cover, members, order, moves
 
     for lam, level in zip(lams[2:], orbit[2:]):
         start = list(accumulate([degree[e] for e in ends], initial=0))
@@ -522,4 +537,4 @@ def model_complex(
         g = gr.remove_leaves(g)
     if quotient:
         return orbit_nerve(cl.canonical_cells(g, k))
-    return ordered_nerve(g, k)
+    return ordered_nerve(orbit_cover(g, k))

@@ -115,14 +115,40 @@ def _free_reduce(word: list) -> list:
 
 
 def _first_single(word: list) -> int | None:
-    """Position of the first generator occurring exactly once, or None."""
+    """Position of the first letter whose generator occurs exactly once in
+    ``word``, a list of signed ints, or None."""
     counts: dict = {}
-    for g, _ in word:
+    for x in word:
+        g = abs(x)
         counts[g] = counts.get(g, 0) + 1
-    for pos, (g, _) in enumerate(word):
-        if counts[g] == 1:
+    for pos, x in enumerate(word):
+        if counts[abs(x)] == 1:
             return pos
     return None
+
+
+def _substitute(word: list, x: int, inv: list, vu: list) -> list:
+    """``word`` with the letter x replaced by ``inv`` and -x by ``vu``,
+    freely and cyclically reduced, in one pass.  ``word`` and both pieces
+    are reduced, so letters cancel only where two pieces meet."""
+    out = []
+    for y in word:
+        if y == x or y == -x:
+            piece = inv if y == x else vu
+            i, n = 0, len(piece)
+            while i < n and out and out[-1] == -piece[i]:
+                out.pop()
+                i += 1
+            out.extend(piece[i:] if i else piece)
+        elif out and out[-1] == -y:
+            out.pop()
+        else:
+            out.append(y)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == -out[j]:
+        i += 1
+        j -= 1
+    return out[i:j + 1] if i else out
 
 
 def simplify(p: Presentation) -> Presentation:
@@ -133,58 +159,66 @@ def simplify(p: Presentation) -> Presentation:
     relator, in input order, that has a generator occurring exactly once;
     eliminate its first such generator g (the relator u g^e v gives
     g^e = u^-1 v^-1, substituted into every other relator, and is dropped);
-    repeat until no relator has one.  Only the relators holding g change, so
-    an occurrence index (generator -> relator ids) finds them and a min-heap
-    of the ids of relators with a candidate stands in for a rescan from the
-    first relator.  The cost is the total length of the input and of every
-    rewritten relator, times a log factor for the heap.
+    repeat until no relator has one.
+
+    Letters are signed ints, +-(position of the generator + 1).  Only the
+    relators holding g change, so an occurrence index (generator -> ids of
+    relators that have held it; it only grows, and a listed relator that no
+    longer holds g is skipped) finds them.  The schedule is a sweep: a
+    pointer runs over the relator ids, and a min-heap holds the ids below
+    the pointer of the relators a rewrite changed.  The next relator checked
+    for a candidate is the heap's least id, or the pointer's if the heap is
+    empty.  That is the least id that can hold a candidate: a relator below
+    the pointer that no rewrite has changed since its check still has none,
+    and every id in the heap is below every id not yet checked.  So each
+    elimination is the one the first-relator rule picks, and a relator is
+    checked when it is reached, not after every rewrite.  The cost is the
+    total length of the input and of every rewritten relator, with a log
+    factor only for the relators a rewrite changes behind the pointer.
     """
-    words = [_free_reduce(list(w)) for w in p.relators]
+    code = {g: j for j, g in enumerate(p.generators, 1)}
+    words = [[e * code[g] for g, e in _free_reduce(list(w))] for w in p.relators]
     occ: dict = {}
     for i, word in enumerate(words):
-        for g, _ in word:
-            occ.setdefault(g, set()).add(i)
-    # ascending ids, so already a heap
-    heap = [i for i, word in enumerate(words) if _first_single(word) is not None]
+        for g in set(map(abs, word)):
+            occ.setdefault(g, []).append(i)
+    heap: list = []
+    waiting = bytearray(len(words))  # ids in the heap
     eliminated = set()
-    while heap:
-        ri = heappop(heap)
+    pointer = 0
+    while heap or pointer < len(words):
+        if heap:
+            ri = heappop(heap)
+            waiting[ri] = 0
+        else:
+            ri = pointer
+            pointer += 1
         word = words[ri]
-        # lazy deletion: the entry may be a dropped relator or one that has
-        # lost its candidate since it was pushed
-        pos = None if word is None else _first_single(word)
+        pos = _first_single(word) if word else None
         if pos is None:
             continue
-        g, e = word[pos]
-        # word = u g^e v  =>  g^e = u^-1 v^-1, substitute everywhere
-        u, v = word[:pos], word[pos + 1:]
-        repl = [(h, -x) for h, x in reversed(u)] + [(h, -x) for h, x in reversed(v)]
-        if e == -1:
-            repl = [(h, -x) for h, x in reversed(repl)]
-        inverse = [(a, -b) for a, b in reversed(repl)]
+        # word = u x v with x = g^e, so x = u^-1 v^-1 = (v u)^-1
+        x = word[pos]
+        g = abs(x)
+        vu = word[pos + 1:] + word[:pos]
+        inv = [-y for y in reversed(vu)]
         words[ri] = None
-        for h, _ in word:
-            occ[h].discard(ri)
         eliminated.add(g)
+        brought = set(map(abs, vu))
         for rj in occ.pop(g):
             old = words[rj]
-            expanded = []
-            for h, x in old:
-                if h == g:
-                    expanded.extend(repl if x == 1 else inverse)
-                else:
-                    expanded.append((h, x))
-            new = _free_reduce(expanded)
-            words[rj] = new
-            for h, _ in old:
-                if h != g:
-                    occ[h].discard(rj)
-            for h, _ in new:
-                occ.setdefault(h, set()).add(rj)
-            if _first_single(new) is not None:
+            if not old or (x not in old and -x not in old):
+                continue
+            words[rj] = _substitute(old, x, inv, vu)
+            for h in brought:
+                occ[h].append(rj)
+            if rj < pointer and not waiting[rj]:
+                waiting[rj] = 1
                 heappush(heap, rj)
-    gens = [h for h in p.generators if h not in eliminated]
-    return Presentation(gens, [w for w in words if w])
+    names = p.generators
+    gens = [h for h in names if code[h] not in eliminated]
+    relators = [[(names[abs(y) - 1], 1 if y > 0 else -1) for y in w] for w in words if w]
+    return Presentation(gens, relators)
 
 
 def abelianization(p: Presentation) -> tuple[int, list]:
@@ -201,7 +235,10 @@ def abelianization(p: Presentation) -> tuple[int, list]:
 
 
 def free_rank(s) -> int:
-    """Rank 1 - chi of a connected 1-dimensional complex."""
+    """Rank 1 - chi of a connected 1-dimensional complex.  A semi-simplicial
+    set with 2-chains is refused before any boundary word is made."""
+    if isinstance(s, SemiSimplicialSet) and s.dimensions > 2 and s.faces[2]:
+        raise NotOneDimensional("complex has 2-cells")
     sk = skeleton(s)
     if sk.words:
         raise NotOneDimensional("complex has 2-cells")

@@ -125,6 +125,25 @@ def test_braidgroup_double_hub_rank(capsys, tmp_path):
     assert report["unordered"]["abelianization"]["rank"] == 8
 
 
+@pytest.mark.parametrize(
+    "graph, k, message",
+    [
+        ({"vertices": ["a"], "edges": []}, 2, "empty complex has no spanning tree"),
+        ({"vertices": ["a", "b"], "edges": []}, 1, "complex is not connected"),
+    ],
+    ids=["empty", "disconnected"],
+)
+def test_braidgroup_refuses_what_the_shared_orbit_nerve_cannot_present(
+    capsys, tmp_path, graph, k, message
+):
+    # no two points fit on one vertex, so the orbit nerve both sides share is
+    # empty; two isolated vertices give a nerve of two points
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "braidgroup", "--graph", str(path), "-k", str(k))
+    assert code == 3 and out == "" and message in err, err
+
+
 def test_compare_circle(capsys, tmp_path):
     path = write_graph(capsys, tmp_path, "s1_min")
     code, out, _ = run(capsys, "compare", "--graph", path, "-k", "2", "--subdivide", "3")

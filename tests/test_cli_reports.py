@@ -60,17 +60,10 @@ def test_braidgroup_xb_3_stdout_pinned(capsys, tmp_path):
 def test_braidgroup_builds_one_model(capsys, tmp_path, monkeypatch):
     # one ordered model, built as the cover of the orbit nerve
     path = write_graph(capsys, tmp_path, "theta")
-    calls = []
-    real = model.ordered_nerve
-
-    def counted(g, k):
-        calls.append(k)
-        return real(g, k)
-
-    monkeypatch.setattr(model, "ordered_nerve", counted)
+    calls = count_calls(monkeypatch, model, "ordered_nerve")
     code, _, err = run(capsys, "braidgroup", "--graph", path, "-k", "2")
     assert code == 0, err
-    assert calls == [2]
+    assert len(calls) == 1
 
 
 def test_compare_match_requires_conditions(capsys, tmp_path):
@@ -135,12 +128,14 @@ def test_model_quotient_builds_no_ordered_model(capsys, tmp_path, monkeypatch, f
 
 @pytest.mark.parametrize(
     "command, flags, builds",
-    [("model", ("--quotient",), 1), ("braidgroup", (), 2)],
-    ids=["model-quotient", "braidgroup"],
+    [("model", ("--quotient",), 1), ("braidgroup", (), 1), ("model", ("--collapse",), 1)],
+    ids=["model-quotient", "braidgroup", "model-collapse"],
 )
 def test_one_chain_extension_loop(capsys, tmp_path, monkeypatch, command, flags, builds):
     # the unordered model extends its chains through build_nerve, as the
-    # ordered one does; braidgroup builds both
+    # ordered one does; braidgroup reports on that orbit nerve and builds
+    # the ordered model as its cover, and model --collapse builds the
+    # ordered model from the orbit nerve whose cover it checks and reduces
     path = write_graph(capsys, tmp_path, "theta")
     calls = count_calls(monkeypatch, nerve, "build_nerve")
     code, _, err = run(capsys, command, "--graph", path, "-k", "3", *flags)

@@ -56,11 +56,12 @@ def test_k4_3_report_pads_the_level_the_collapse_empties():
 
 
 def run_model_on(s, graph_path):
-    """Exit code and stderr of `model --collapse` when the model built is
-    ``s``: plain ordered `model` reports from ``model.collapsed_cover`` and
-    builds no complex that ``model_complex`` could stand in for."""
+    """Exit code and stderr of `model --collapse` when the ordered model it
+    builds from its checked orbit nerve is ``s``: plain ordered `model`
+    reports from ``model.collapsed_cover`` and builds no complex that
+    ``ordered_nerve`` could stand in for."""
     out, err = StringIO(), StringIO()
-    with mock.patch.object(cli, "model_complex", lambda *a, **kw: s):
+    with mock.patch.object(cli, "ordered_nerve", lambda *a, **kw: s):
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["model", "--graph", graph_path, "-k", "2", "--collapse"])
     return code, err.getvalue()

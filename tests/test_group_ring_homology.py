@@ -36,7 +36,7 @@ def assert_reduction_is_the_covers(g, k, whole=False):
     """On the collapsed orbit nerve of (g, k), and on the whole one if
     ``whole``, as ``model --collapse`` reduces it, the reduction over
     Z[S_k] has the homology of the lifted cover's chain complex."""
-    _, orbit, _, right = model.orbit_cover(g, k)
+    _, orbit, _, right, _ = model.orbit_cover(g, k)
     for small in [collapse_free_faces(orbit)] + [orbit] * whole:
         got = homology(model.cover_chain_complex(small, right))
         ref = homology(chain_complex(model.cover(small, right)))
@@ -100,7 +100,7 @@ def test_lift_is_multiplicative(k):
 
 @pytest.mark.parametrize("graph, k", [(gr.theta_graph(), 3), (k4(), 3)], ids=["theta-3", "k4-3"])
 def test_lift_of_the_orbit_boundaries_is_the_covers(graph, k):
-    _, orbit, _, right = model.orbit_cover(graph, k)
+    _, orbit, _, right, _ = model.orbit_cover(graph, k)
     twisted = _group_ring_boundaries(orbit.faces, model._twists(orbit), alternating_signs)
     lifted = [_lift(mat, right.rows, len(right)) for mat in twisted]
     assert lifted == chain_complex(model.cover(orbit, right)).boundaries
@@ -109,12 +109,12 @@ def test_lift_of_the_orbit_boundaries_is_the_covers(graph, k):
 @pytest.mark.parametrize("flags", [[], ["--collapse"]], ids=["plain", "collapse"])
 def test_corrupted_lam_exits_4(tmp_path, monkeypatch, flags):
     # lam_{d_1} = lam_c o lam_{d_0} breaks on theta k=3's first 2-chain
-    cat, orbit, perms, right = model.orbit_cover(gr.theta_graph(), 3)
+    cat, orbit, perms, right, nerve = model.orbit_cover(gr.theta_graph(), 3)
     labels = [list(level) for level in orbit.labels]
     labels[2][0] = (labels[2][0] + 1) % len(right)
     bad = SemiSimplicialSet(labels, orbit.faces)
     # `--collapse` also builds the ordered model from it
-    monkeypatch.setattr(model, "orbit_cover", lambda *a: (cat, bad, perms, right))
+    monkeypatch.setattr(model, "orbit_cover", lambda *a: (cat, bad, perms, right, nerve))
     path = graph_file(tmp_path, gr.theta_graph())
     code, out, err = run(["model", "--graph", path, "-k", "3", *flags])
     assert code == 4 and out == "" and err.startswith("internal error:"), err

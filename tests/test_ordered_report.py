@@ -124,7 +124,7 @@ def corrupted_covers(draw):
     its table of ranks, and a copy with one lam entry or one face index
     set to a value in range, which may be the one it had."""
     graph, k = draw(small_multigraphs()), draw(st.integers(2, 3))
-    _, orbit, _, right = model.orbit_cover(graph, k)
+    _, orbit, _, right, _ = model.orbit_cover(graph, k)
     levels = len(orbit.labels)
     if levels < 2:
         return orbit, right, None
@@ -154,7 +154,7 @@ def test_cover_guard_fails_exactly_where_the_cover_does(tmp_path_factory, data):
     assert caught == raises(lambda: model.cover(bad, right).validate_face_identities())
     if caught:
         path = graph_file(tmp_path_factory.mktemp("graph"), gr.theta_graph())
-        with mock.patch.object(model, "orbit_cover", lambda *a: (None, bad, None, right)):
+        with mock.patch.object(model, "orbit_cover", lambda *a: (None, bad, None, right, None)):
             code, out, err = run(["model", "--graph", path, "-k", "2"])
         assert code == 4 and out == "" and err.startswith("internal error:"), err
 
@@ -162,7 +162,7 @@ def test_cover_guard_fails_exactly_where_the_cover_does(tmp_path_factory, data):
 def test_cover_guard_catches_a_broken_cocycle():
     # theta k=3 has chains of dimension 2, each with a face d_1 whose lam
     # must be lam_c o lam_{d_0}; a wrong lam_c breaks that and d_0 d_1 = d_0 d_0
-    _, orbit, _, right = model.orbit_cover(gr.theta_graph(), 3)
+    _, orbit, _, right, _ = model.orbit_cover(gr.theta_graph(), 3)
     labels = [list(level) for level in orbit.labels]
     labels[2][0] = (labels[2][0] + 1) % len(right)
     bad = SemiSimplicialSet(labels, orbit.faces)

@@ -1,3 +1,6 @@
+from functools import cache
+from heapq import heappop, heappush
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -201,6 +204,65 @@ def _reference_simplify(p):
     return Presentation(gens, relators)
 
 
+def _reference_first_single(word):
+    counts = {}
+    for g, _ in word:
+        counts[g] = counts.get(g, 0) + 1
+    for pos, (g, _) in enumerate(word):
+        if counts[g] == 1:
+            return pos
+    return None
+
+
+def _heap_simplify(p):
+    """The eliminations of ``_reference_simplify``, scheduled by a min-heap
+    of the ids of relators with a candidate and an exact occurrence index:
+    every rewritten relator is reduced in a second pass and checked at once.
+    Fast enough for the 1,800 relators of ordered xb k=3."""
+    words = [_reference_free_reduce(list(w)) for w in p.relators]
+    occ = {}
+    for i, word in enumerate(words):
+        for g, _ in word:
+            occ.setdefault(g, set()).add(i)
+    heap = [i for i, word in enumerate(words) if _reference_first_single(word) is not None]
+    eliminated = set()
+    while heap:
+        ri = heappop(heap)
+        word = words[ri]
+        pos = None if word is None else _reference_first_single(word)
+        if pos is None:
+            continue
+        g, e = word[pos]
+        u, v = word[:pos], word[pos + 1:]
+        repl = [(h, -x) for h, x in reversed(u)] + [(h, -x) for h, x in reversed(v)]
+        if e == -1:
+            repl = [(h, -x) for h, x in reversed(repl)]
+        inverse = [(a, -b) for a, b in reversed(repl)]
+        words[ri] = None
+        for h, _ in word:
+            occ[h].discard(ri)
+        eliminated.add(g)
+        for rj in occ.pop(g):
+            old = words[rj]
+            expanded = []
+            for h, x in old:
+                if h == g:
+                    expanded.extend(repl if x == 1 else inverse)
+                else:
+                    expanded.append((h, x))
+            new = _reference_free_reduce(expanded)
+            words[rj] = new
+            for h, _ in old:
+                if h != g:
+                    occ[h].discard(rj)
+            for h, _ in new:
+                occ.setdefault(h, set()).add(rj)
+            if _reference_first_single(new) is not None:
+                heappush(heap, rj)
+    gens = [h for h in p.generators if h not in eliminated]
+    return Presentation(gens, [w for w in words if w])
+
+
 GENERATOR_POOL = ["a", "b", "c", "d", "e", "f"]
 WORDS = st.lists(
     st.tuples(st.sampled_from(GENERATOR_POOL[:4]), st.sampled_from([1, -1])), max_size=9
@@ -214,6 +276,48 @@ def test_simplify_equals_reference(relators):
     p = Presentation(list(GENERATOR_POOL), relators)
     assert pi1.simplify(p) == _reference_simplify(p)
     assert pi1.abelianization(pi1.simplify(p)) == pi1.abelianization(p)
+
+
+# 3-6 generators, up to 12 relators of up to 16 letters
+PRESENTATIONS = st.integers(3, 6).flatmap(
+    lambda n: st.builds(
+        Presentation,
+        st.just(GENERATOR_POOL[:n]),
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(GENERATOR_POOL[:n]), st.sampled_from([1, -1])),
+                max_size=16,
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+def test_simplify_equals_reference_on_longer_relators(monkeypatch):
+    # the run must re-queue relators behind the sweep's pointer and
+    # substitute into relators that hold the eliminated generator twice
+    seen = {"requeued": 0, "twice": 0}
+    real_push, real_substitute = pi1.heappush, pi1._substitute
+
+    def push(heap, ri):
+        seen["requeued"] += 1
+        real_push(heap, ri)
+
+    def substitute(word, x, inv, vu):
+        seen["twice"] += word.count(x) + word.count(-x) > 1
+        return real_substitute(word, x, inv, vu)
+
+    monkeypatch.setattr(pi1, "heappush", push)
+    monkeypatch.setattr(pi1, "_substitute", substitute)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PRESENTATIONS)
+    def check(p):
+        assert pi1.simplify(p) == _reference_simplify(p)
+
+    check()
+    assert seen["requeued"] and seen["twice"], seen
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,10 +342,28 @@ def test_simplify_equals_reference_on_models(graph, k):
         assert pi1.abelianization(simplified) == pi1.abelianization(p)
 
 
+@cache
+def _presentation(graph, k, quotient):
+    return pi1.presentation(model_complex(GRAPHS[graph](), k, quotient=quotient))
+
+
+GRAPHS = {"xb": lambda: gr.double_hub_graph(2, 1, 1, 1, 1), "k33": _k33, "theta": gr.theta_graph}
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["ordered", "unordered"])
+@pytest.mark.parametrize("graph, k", [("xb", 3), ("k33", 2), ("theta", 3)], ids=["xb-3", "k33-2", "theta-3"])
+def test_simplify_equals_heap_reference_on_models(graph, k, quotient):
+    # ordered xb k=3 has 1,800 relators, too many for the rescan reference
+    p = _presentation(graph, k, quotient)
+    assert pi1.simplify(p) == _heap_simplify(p)
+
+
 def test_simplify_rewrites_only_relators_holding_the_generator(monkeypatch):
     # `gen xb -x 2 -k 1 -l 1 -p 1 -q 1`, k=3, ordered: 1,800 relators; the
     # rescan-everything algorithm makes 1,618,755 calls to _free_reduce here,
-    # rewriting only the relators that hold each eliminated generator 9,557
+    # rewriting only the relators that hold each eliminated generator 9,557.
+    # A rewrite substitutes and reduces in one pass (_substitute), so this
+    # counts only the 1,800 reductions of the input
     p = pi1.presentation(build_model(gr.double_hub_graph(2, 1, 1, 1, 1), 3).complex)
     assert len(p.relators) == 1800
     calls = []
@@ -254,3 +376,20 @@ def test_simplify_rewrites_only_relators_holding_the_generator(monkeypatch):
     monkeypatch.setattr(pi1, "_free_reduce", counted)
     pi1.simplify(p)
     assert len(calls) <= 6 * len(p.relators)
+
+
+def test_simplify_rewrites_each_relator_a_few_times(monkeypatch):
+    # ordered xb k=3: 7,757 rewrites of its 1,800 relators, one for each
+    # relator holding a generator when it is eliminated
+    p = _presentation("xb", 3, False)
+    assert len(p.relators) == 1800
+    calls = []
+    real = pi1._substitute
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pi1, "_substitute", counted)
+    pi1.simplify(p)
+    assert 1 <= len(calls) <= 6 * len(p.relators)

@@ -41,7 +41,7 @@ def test_inverses(k):
 
 def test_theta_k6_makes_fewer_rows_than_k_factorial():
     # the whole composition table would be 720 rows of 720 ranks
-    _, orbit, perms, right = model.orbit_cover(gr.theta_graph(), 6)
+    _, orbit, perms, right, _ = model.orbit_cover(gr.theta_graph(), 6)
     assert len(right) == len(perms) == 720
     assert len(right.rows) < 720
     model.validate_cover(orbit, right)
@@ -53,7 +53,7 @@ def test_theta_k6_makes_fewer_rows_than_k_factorial():
 def test_out_of_range_lam_exits_4(tmp_path):
     # lam = k! names no permutation; the range check catches it before a
     # composition row is read
-    _, orbit, _, right = model.orbit_cover(gr.theta_graph(), 2)
+    _, orbit, _, right, _ = model.orbit_cover(gr.theta_graph(), 2)
     assert len(orbit.labels) > 2
     labels = [list(level) for level in orbit.labels]
     labels[2][0] = len(right)
@@ -61,6 +61,6 @@ def test_out_of_range_lam_exits_4(tmp_path):
     with pytest.raises(InternalError, match="out of range"):
         model.validate_cover(bad, right)
     path = graph_file(tmp_path, gr.theta_graph())
-    with mock.patch.object(model, "orbit_cover", lambda *a: (None, bad, None, right)):
+    with mock.patch.object(model, "orbit_cover", lambda *a: (None, bad, None, right, None)):
         code, out, err = run(["model", "--graph", path, "-k", "2"])
     assert code == 4 and out == "" and err.startswith("internal error:"), err
