@@ -25,7 +25,6 @@ from .abrams import (
 from .errors import InputError, InternalError
 from .homology import chain_complex, connected_components, homology
 from .model import (
-    checked_cover,
     collapsed_cover,
     cover,
     cover_chain_complex,
@@ -101,12 +100,10 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     components.  F-vector, dimension and Euler characteristic are those of
     the full complex, or of the collapse when ``collapse`` is set.
 
-    The ordered model's reports do not come here.  Without ``--collapse``
-    (``model`` and ``compare``) they are ``_collapsed_report`` of
-    ``model.collapsed_cover``, which checks and collapses the orbit nerve
-    and never builds the ordered model.  ``model --collapse`` reads this
-    collapse's f-vector and components, and reduces the orbit nerve over
-    Z[S_k] for the homology (``cmd_model``).
+    The ordered model's reports do not come here.  ``model``, with or
+    without ``--collapse``, and ``compare`` report it as
+    ``_collapsed_report`` of ``model.collapsed_cover``, which checks and
+    collapses the orbit nerve and never builds the ordered model.
     """
     s.validate_face_identities()
     small = collapse_free_faces(s)
@@ -115,9 +112,10 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
 
 
 def _collapsed_report(fvector, small: SemiSimplicialSet, right) -> dict:
-    """Report of the ordered model from ``model.collapsed_cover``: its
-    f-vector ``fvector``, and ``small``, the collapsed orbit nerve labelled
-    by lam, whose cover by ``right`` is a collapse of the model.  Homology
+    """Report of the ordered model from ``model.collapsed_cover``: the
+    f-vector ``fvector`` (the model's, or its collapse's for ``--collapse``),
+    and ``small``, the collapsed orbit nerve labelled by lam, whose cover by
+    ``right`` is a collapse of the model.  Homology
     is that of ``model.cover_chain_complex``: the orbit boundaries reduced
     over Z[S_k], where d^2 = 0 is checked, and only the residue lifted, on
     which ``ChainComplex`` checks it again.  Components depend on the
@@ -167,14 +165,12 @@ def _abrams_report(q: AbramsComplex) -> dict:
 
 def _padded_homology(cc, levels: int) -> dict:
     """Betti numbers and torsion of ``cc`` in ``levels`` dimensions, padded
-    with zeros: a collapse can empty the top levels.  ``cc`` can also have
-    more levels, as the whole orbit nerve has for ``model --collapse``;
-    its homology there is zero, as the collapse printed has no cell."""
+    with zeros: a collapse can empty the top levels."""
     hom = homology(cc)
     pad = levels - len(hom.betti)
     return {
-        "betti": hom.betti[:levels] + [0] * pad,
-        "torsion": hom.torsion[:levels] + [[] for _ in range(pad)],
+        "betti": hom.betti + [0] * pad,
+        "torsion": hom.torsion + [[] for _ in range(pad)],
     }
 
 
@@ -206,21 +202,13 @@ def cmd_model(args) -> dict:
     if args.quotient:
         s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True)
         return _report_of_complex(s, collapse=args.collapse)
+    # the report reads neither chain order nor labels.  With --collapse the
+    # f-vector is that of the collapse: k! times the collapsed orbit
+    # nerve's, whose cover is a maximal free-face collapse of the model
+    fvector, small, right = collapsed_cover(g, args.k, drop_leaves=args.remove_leaves)
     if args.collapse:
-        # the f-vector and components are those of the ordered model's own
-        # collapse, whose scan follows chain order; the homology is reduced
-        # over Z[S_k] on the whole orbit nerve, so no other collapse is made.
-        # The ordered model is the cover of that checked orbit nerve.
-        _, cover = checked_cover(g, args.k, drop_leaves=args.remove_leaves)
-        orbit, right = cover[1], cover[3]
-        s = ordered_nerve(cover)
-        del cover  # free the orbit category and the nerve's labels before the collapse
-        s.validate_face_identities()
-        small = collapse_free_faces(s)
-        cc = cover_chain_complex(orbit, right)
-        return _report(small.fvector(), cc, len(connected_components(small)))
-    # the report reads neither chain order nor labels
-    return _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
+        fvector = [len(right) * n for n in small.fvector()]
+    return _collapsed_report(fvector, small, right)
 
 
 def _group_report(s: SemiSimplicialSet) -> dict:

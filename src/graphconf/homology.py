@@ -38,12 +38,12 @@ is computed on a free-face collapse, which removes cells before any matrix
 is built: ``nerve.collapse_free_faces`` of the complex, or, for an Abrams
 complex, the lift of its orbit complex's collapse (``nerve.lift_faces``),
 a collapse of the ordered complex made without building it.  The ordered
-model's reports reduce its orbit nerve over Z[S_k] instead: the collapsed
-one without ``--collapse``, the whole one with it.  A collapse is exact
-over Z: a free face has one coface and occurs in it once, so its row of
-the boundary holds a single +-1, a unit pivot whose elimination creates no
-fill, and removing the pair keeps every Betti number and torsion
-coefficient.  The full complex is checked by its face identities,
+model's reports reduce its collapsed orbit nerve over Z[S_k] instead,
+with or without ``--collapse``.  A collapse is exact over Z: a free face
+has one coface and occurs in it once, so its row of the boundary holds a
+single +-1, a unit pivot whose elimination creates no fill, and removing
+the pair keeps every Betti number and torsion coefficient.  The full
+complex is checked by its face identities,
 d_i d_j = d_{j-1} d_i for a model and the cubical ones for an Abrams
 complex, and a cover's on its orbit complex with a cocycle per identity
 (``nerve.validate_twists``).  They imply d^2 = 0 for the signs above;

@@ -28,21 +28,17 @@ lift of c's second object (``orbit_cover``): the twisted cover of
 ``nerve.lift_faces``.  So the ordered model's chains are free
 Z[S_k]-modules on the orbit chains, and the homology reports reduce the
 orbit nerve's boundaries over Z[S_k] and lift only the residue
-(``cover_chain_complex``).  Without ``--collapse`` they reduce the orbit
-nerve's free-face collapse, whose cover is a collapse of the ordered model
-(``collapsed_cover``), and count components on that cover's levels 0 and
-1.  That cover is not the ordered model's own ``collapse_free_faces``,
-whose scan follows chain order, so ``model --collapse``, which prints that
-collapse's f-vector and components, and ``braidgroup``, which reads
-labels, still build the whole cover; ``model --collapse`` takes its
-homology from the whole orbit nerve.
+(``cover_chain_complex``).  They reduce the orbit nerve's free-face
+collapse, whose cover is a maximal free-face collapse of the ordered
+model (``collapsed_cover``), and count components on that cover's levels
+0 and 1; ``model --collapse`` prints that collapse's f-vector.  Only
+``braidgroup``, which reads labels, builds the whole cover.
 
 One orbit nerve serves both sides.  ``orbit_cover`` builds it once and
 hands it back twice: labelled by lam, the base of the ordered model's
 cover, and with its own labels, the unordered model.  ``braidgroup``
 reports on the unordered model and then builds the ordered one from the
-same ``orbit_cover`` result, and ``model --collapse`` builds the ordered
-model from the orbit nerve whose cover it checks and reduces.
+same ``orbit_cover`` result.
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
@@ -375,32 +371,24 @@ def cover(orbit: SemiSimplicialSet, right) -> SemiSimplicialSet:
     return SemiSimplicialSet(labels, lift_faces(orbit.faces, _twists(orbit), right, None))
 
 
-def checked_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
-    """(fvector, cover): the ordered model's f-vector and ``orbit_cover``'s
-    result (cat, orbit, perms, right, nerve), with leaves removed first if
+def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
+    """(fvector, small, right): the ordered model's f-vector, the free-face
+    collapse ``small`` of the lam-labelled orbit nerve ``orbit`` and the
+    table ``right`` of ``orbit_cover``, with leaves removed first if
     ``drop_leaves``.  The whole ordered model, ``cover(orbit, right)``, is
     checked on the orbit nerve (``validate_cover``), and neither it nor its
-    labels are made: the homology reports read neither order nor labels,
-    and ``cover_chain_complex(orbit, right)`` has its homology.
+    labels are made: the homology reports read neither order nor labels.
+    ``cover(small, right)`` is a collapse of the ordered model
+    (``nerve.lift_faces``), and ``cover_chain_complex(small, right)`` has its
+    homology.  It is a maximal one: a lifted chain has as many cofaces as
+    its orbit, so the cover of ``small`` has no free face left.
     """
     if drop_leaves:
         g = gr.remove_leaves(g)
-    cover = orbit_cover(g, k)
-    orbit, right = cover[1], cover[3]
+    # the orbit category and the nerve's labels are freed before the collapse
+    _, orbit, _, right, _ = orbit_cover(g, k)
     validate_cover(orbit, right)
-    return [len(right) * n for n in orbit.fvector()], cover
-
-
-def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
-    """(fvector, small, right): ``checked_cover`` with the orbit nerve's
-    free-face collapse ``small`` in place of its result.  ``cover(small,
-    right)`` is a collapse of the ordered model (``nerve.lift_faces``), and
-    ``cover_chain_complex(small, right)`` has its homology.
-    """
-    fvector, cover = checked_cover(g, k, drop_leaves)
-    orbit, right = cover[1], cover[3]
-    del cover  # free the orbit category and the nerve's labels before the collapse
-    return fvector, collapse_free_faces(orbit), right
+    return [len(right) * n for n in orbit.fvector()], collapse_free_faces(orbit), right
 
 
 def cover_chain_complex(orbit: SemiSimplicialSet, right) -> ChainComplex:

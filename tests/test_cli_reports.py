@@ -134,8 +134,8 @@ def test_model_quotient_builds_no_ordered_model(capsys, tmp_path, monkeypatch, f
 def test_one_chain_extension_loop(capsys, tmp_path, monkeypatch, command, flags, builds):
     # the unordered model extends its chains through build_nerve, as the
     # ordered one does; braidgroup reports on that orbit nerve and builds
-    # the ordered model as its cover, and model --collapse builds the
-    # ordered model from the orbit nerve whose cover it checks and reduces
+    # the ordered model as its cover, and model --collapse reports the
+    # cover of that orbit nerve's collapse
     path = write_graph(capsys, tmp_path, "theta")
     calls = count_calls(monkeypatch, nerve, "build_nerve")
     code, _, err = run(capsys, command, "--graph", path, "-k", "3", *flags)

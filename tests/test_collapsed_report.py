@@ -55,15 +55,17 @@ def test_k4_3_report_pads_the_level_the_collapse_empties():
     assert cli._report_of_complex(s)["betti"] == [1, 12, 11, 0]
 
 
-def run_model_on(s, graph_path):
-    """Exit code and stderr of `model --collapse` when the ordered model it
-    builds from its checked orbit nerve is ``s``: plain ordered `model`
-    reports from ``model.collapsed_cover`` and builds no complex that
-    ``ordered_nerve`` could stand in for."""
+def run_model_on(s, graph_path, collapse):
+    """Exit code and stderr of `model --quotient`, with ``--collapse`` if
+    ``collapse``, when the complex it builds is ``s``: the one command that
+    still builds a whole model and guards it with ``_report_of_complex``.
+    Ordered `model` reports from ``model.collapsed_cover`` and builds no
+    complex that ``s`` could stand in for."""
+    flags = ["--collapse"] if collapse else []
     out, err = StringIO(), StringIO()
-    with mock.patch.object(cli, "ordered_nerve", lambda *a, **kw: s):
+    with mock.patch.object(cli, "model_complex", lambda *a, **kw: s):
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["model", "--graph", graph_path, "-k", "2", "--collapse"])
+            code = cli.main(["model", "--graph", graph_path, "-k", "2", "--quotient", *flags])
     return code, err.getvalue()
 
 
@@ -100,8 +102,9 @@ def test_face_guard_catches_what_d2_check_caught(graph_path, graph, k, quotient,
         new_caught = True
     if old_caught:
         assert new_caught
-        code, err = run_model_on(bad, graph_path)
-        assert code == 4 and err.startswith("internal error:"), err
+        for collapse in (False, True):
+            code, err = run_model_on(bad, graph_path, collapse)
+            assert code == 4 and err.startswith("internal error:"), err
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -114,5 +117,6 @@ def test_out_of_range_face_exits_4(graph_path, level, where):
     bad = SemiSimplicialSet(s.labels, faces)
     with pytest.raises(InternalError, match="out of range"):
         bad.validate_face_identities()
-    code, err = run_model_on(bad, graph_path)
-    assert code == 4 and "out of range" in err, err
+    for collapse in (False, True):
+        code, err = run_model_on(bad, graph_path, collapse)
+        assert code == 4 and "out of range" in err, err

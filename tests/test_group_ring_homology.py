@@ -113,7 +113,7 @@ def test_corrupted_lam_exits_4(tmp_path, monkeypatch, flags):
     labels = [list(level) for level in orbit.labels]
     labels[2][0] = (labels[2][0] + 1) % len(right)
     bad = SemiSimplicialSet(labels, orbit.faces)
-    # `--collapse` also builds the ordered model from it
+    # `--collapse` too checks the cover on it, and collapses it
     monkeypatch.setattr(model, "orbit_cover", lambda *a: (cat, bad, perms, right, nerve))
     path = graph_file(tmp_path, gr.theta_graph())
     code, out, err = run(["model", "--graph", path, "-k", "3", *flags])
@@ -144,8 +144,8 @@ def test_corrupted_orbit_boundary_exits_4(tmp_path, monkeypatch):
 
 
 def test_model_collapse_reports_the_ordered_model(tmp_path):
-    # its f-vector and components are the rescan collapse's, and its
-    # homology the one of the whole ordered model
+    # its f-vector is the lifted collapse's, here the rescan collapse's
+    # too, and its homology the one of the whole ordered model
     path = graph_file(tmp_path, k4())
     code, out, err = run(["model", "--graph", path, "-k", "3", "--collapse"])
     assert code == 0, err

@@ -101,13 +101,23 @@ def test_reports_build_no_ordered_model(tmp_path, monkeypatch):
         raise AssertionError("the ordered model was built")
 
     monkeypatch.setattr(model, "ordered_nerve", refuse)
-    code, out, err = run(["model", "--graph", graph_file(tmp_path, k4()), "-k", "3"])
-    assert code == 0, err
-    assert json.loads(out)["betti"] == [1, 12, 11, 0]
+    monkeypatch.setattr(cli, "ordered_nerve", refuse)
+    k4_path = graph_file(tmp_path, k4(), "k4.json")
+    for flags in ([], ["--collapse"], ["--remove-leaves", "--collapse"]):
+        code, out, err = run(["model", "--graph", k4_path, "-k", "3", *flags])
+        assert code == 0, err
+        assert json.loads(out)["betti"] == [1, 12, 11, 0][: 3 if flags else 4]
     theta = graph_file(tmp_path, gr.theta_graph(), "theta.json")
     code, out, err = run(["compare", "--graph", theta, "-k", "3", "--subdivide", "4"])
     assert code == 0, err
     assert json.loads(out)["match"] is True
+    # no cell fits: the empty model
+    empty = graph_file(tmp_path, gr.build_graph(["a", "b"], []), "empty.json")
+    code, out, err = run(["model", "--graph", empty, "-k", "3", "--collapse"])
+    assert code == 0, err
+    assert json.loads(out) == {
+        "betti": [], "components": 0, "dimension": None, "euler": 0, "fvector": [], "torsion": [],
+    }
 
 
 def raises(check) -> bool:
