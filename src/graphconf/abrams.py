@@ -116,6 +116,25 @@ def _cube_signs(n: int) -> list:
     return [(-1) ** (i // 2) * (1 if i % 2 else -1) for i in range(2 * n)]
 
 
+def _extend(k, ends, compatible, found, bits, prefix, allowed, mask, n) -> None:
+    """Append to ``found[n]`` and ``bits[n]`` every orbit cube, and its
+    digit mask, that extends ``prefix`` (mask ``mask``, n edge digits) by
+    digits of ``allowed``: those above prefix's last whose closures miss
+    all of prefix's (``abrams_complex``)."""
+    if len(prefix) == k:
+        found[n].append(prefix)
+        bits[n].append(mask)
+        return
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        d = low.bit_length() - 1
+        _extend(
+            k, ends, compatible, found, bits,
+            prefix + (d,), allowed & compatible[d], mask | low, n + bool(ends[d]),
+        )
+
+
 def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
     """All k-tuples of cells with pairwise disjoint closures, by dimension,
     each dimension in lexicographic order, with every cube's faces by index;
@@ -150,20 +169,7 @@ def abrams_complex(g: Graph, k: int, quotient: bool = False) -> AbramsComplex:
     # per dimension: the digit tuples, and their digit sets as bit masks
     found: list[list] = [[] for _ in range(k + 1)]
     bits: list[list] = [[] for _ in range(k + 1)]
-
-    def extend(prefix, allowed, mask, n):
-        # allowed: the digits above prefix's last whose closures miss all of prefix's
-        if len(prefix) == k:
-            found[n].append(prefix)
-            bits[n].append(mask)
-            return
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            d = low.bit_length() - 1
-            extend(prefix + (d,), allowed & compatible[d], mask | low, n + bool(ends[d]))
-
-    extend((), (1 << len(symbols)) - 1, 0, 0)
+    _extend(k, ends, compatible, found, bits, (), (1 << len(symbols)) - 1, 0, 0)
     while found and not found[-1]:
         found.pop()
     faces, relocations = [[] for _ in found[:1]], [[] for _ in found[:1]]

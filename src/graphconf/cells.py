@@ -205,23 +205,25 @@ def canonical_cells(g: Graph, k: int) -> list[BraidCell]:
         raise ValueError("k must be >= 1")
     symbols = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
     symbols.sort(key=_entry_key)
-    nv = len(g.vertices)  # the vertices lead the symbols
-    cells = []
-
-    def grow(entries: tuple, lo: int) -> None:
-        if len(entries) == k:
-            groups: dict[str, list] = {}  # ascending edge id, as entries ascend
-            for i, entry in enumerate(entries):
-                if entry[0] == "e":
-                    groups.setdefault(entry[1], []).append((i,))
-            blocks = tuple((eid, tuple(part)) for eid, part in groups.items())
-            cells.append(BraidCell(k, entries, blocks, g))
-            return
-        for s in range(lo, len(symbols)):
-            grow(entries + (symbols[s],), s + (s < nv))
-
-    grow((), 0)
+    cells: list[BraidCell] = []
+    _grow(g, k, symbols, len(g.vertices), (), 0, cells)
     return cells
+
+
+def _grow(g: Graph, k: int, symbols: list, nv: int, entries: tuple, lo: int, cells: list) -> None:
+    """Append to ``cells`` every canonical cell whose entries extend
+    ``entries`` by symbols from ``lo`` on (``canonical_cells``); the first
+    ``nv`` symbols are the vertices, which do not repeat."""
+    if len(entries) == k:
+        groups: dict[str, list] = {}  # ascending edge id, as entries ascend
+        for i, entry in enumerate(entries):
+            if entry[0] == "e":
+                groups.setdefault(entry[1], []).append((i,))
+        blocks = tuple((eid, tuple(part)) for eid, part in groups.items())
+        cells.append(BraidCell(k, entries, blocks, g))
+        return
+    for s in range(lo, len(symbols)):
+        _grow(g, k, symbols, nv, entries + (symbols[s],), s + (s < nv), cells)
 
 
 def faces_into(d: BraidCell):

@@ -9,6 +9,7 @@ to stderr.  Exit codes: 0 success, 2 parse error, 3 invalid configuration,
 import argparse
 import json
 import sys
+from functools import cache
 from math import factorial
 
 from . import graphs as gr
@@ -58,7 +59,9 @@ _FLAG_USERS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` leaves it as it is."""
     top = argparse.ArgumentParser(prog="graphconf")
     sub = top.add_subparsers(dest="command", required=True)
 

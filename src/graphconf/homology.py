@@ -24,14 +24,18 @@ cannot add to its image, so that column never reaches the sweep.  The
 argument that this is exact is in ``homology``'s docstring.
 
 The ordered model is the S_k-cover of the orbit nerve, so its chains are
-free Z[S_k]-modules on the orbit chains.  ``twisted_chain_complex``
-assembles the orbit boundaries over the group ring, checks d^2 = 0 there,
-reduces them with ``_group_ring_sweep``, the unit-pivot sweep on entries
-+-[pi] with the same Markowitz heap and the same clearing, and lifts only
-the residue to the integers.  Each pivot is a Gaussian elimination in the
-sense of algebraic Morse theory (Skoeldberg, "Morse theory from an
-algebraic viewpoint", Trans. AMS 2006), and its lift k! disjoint integer
-unit pivots, so the residue has the cover's homology.
+free Z[S_k]-modules on the orbit chains.  One boundary assembly
+(``face_chain_complex``), one d^2 check (``_product_is_zero``) and one
+unit-pivot sweep (``_markowitz_sweep``) serve Z and Z[S_k] alike, over
+the ``Ring`` of the matrix's entries: ints for Z, ``{rank: coefficient}``
+dicts for ``group_ring``.  ``twisted_chain_complex`` assembles the orbit
+boundaries over the group ring, checks d^2 = 0 there, reduces them with
+the sweep, which pivots on the units +-[pi], and with the same clearing,
+and lifts only the residue to the integers.  Each pivot is a Gaussian
+elimination in the sense of algebraic Morse theory (Skoeldberg, "Morse
+theory from an algebraic viewpoint", Trans. AMS 2006), which holds over
+any ring with a unit pivot, and its lift k! disjoint integer unit pivots,
+so the residue has the cover's homology.
 
 The homology of a model, and of an Abrams complex, as the CLI reports it,
 is computed on a free-face collapse, which removes cells before any matrix
@@ -54,9 +58,73 @@ residue it is given.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
+from operator import mul
+from typing import Callable
 
 from .errors import NotAComplex
 from .nerve import SemiSimplicialSet, min_roots
+
+
+@dataclass(frozen=True)
+class Ring:
+    """The ring of a matrix's entries, by the operations on entries in
+    which the integers and a group ring differ.  No zero entry is stored,
+    and an entry is falsy exactly when it is zero."""
+
+    over: str  # how a d^2 failure names the ring, "" for Z
+    zero: Callable  # () -> a new zero entry
+    one: object
+    is_unit: Callable  # x -> whether x is a unit +-[pi]
+    times_inverse: Callable  # (x, u) -> x u^-1, u a unit, as ``minus_product`` takes it
+    minus_product: Callable  # (z, f, v) -> z - f v, updating z in place if it can
+    plus_term: Callable  # (z, sign, t) -> z + sign [t], t the rank of a group element
+
+
+# Z, with int entries: a unit is +-1, its own inverse, and [t] is 1
+INTEGERS = Ring(
+    "", int, 1, frozenset((1, -1)).__contains__, mul,
+    lambda z, f, v: z - f * v, lambda z, sign, t: z + sign,
+)
+
+
+def group_ring(group) -> Ring:
+    """Z[G], G = ``group`` (``nerve.Permutations``): an entry is a
+    ``{rank: coefficient}`` dict, updated in place, multiplied as
+    [t] [u] = [rows[t][u]].  A unit is e [p], e = +-1, with inverse
+    e [p^-1]; fill can make an entry of several terms, which is never
+    a pivot."""
+    rows = group.rows
+    inverse = [group.rank[p] for p in group.inverse]
+
+    def is_unit(x):
+        return len(x) == 1 and next(iter(x.values())) in (1, -1)
+
+    def times_inverse(x, u):
+        # the terms of x u^-1, each [f] as its row rows[f]
+        ((p, e),) = u.items()
+        q = inverse[p]
+        return [(rows[rows[t][q]], a * e) for t, a in x.items()]
+
+    def minus_product(z, f, v):
+        for row_f, a in f:
+            for u, b in v.items():
+                g = row_f[u]
+                w = z.get(g, 0) - a * b
+                if w:
+                    z[g] = w
+                else:
+                    del z[g]
+        return z
+
+    def plus_term(z, sign, t):
+        v = z.get(t, 0) + sign
+        if v:
+            z[t] = v
+        else:
+            del z[t]
+        return z
+
+    return Ring(" over Z[S_k]", dict, {0: 1}, is_unit, times_inverse, minus_product, plus_term)
 
 
 @dataclass
@@ -64,18 +132,22 @@ class ChainComplex:
     """Basis sizes per dimension and boundary matrices between them.
 
     ``boundaries[n]`` maps dimension n+1 to dimension n and is stored as a
-    dict (row, col) -> integer of shape sizes[n] x sizes[n+1].
+    dict (row, col) -> entry of shape sizes[n] x sizes[n+1], its entries in
+    ``ring``; ``homology`` takes a complex over Z.
     """
 
     sizes: list
     boundaries: list
+    ring: Ring = INTEGERS
 
     def __post_init__(self):
         if len(self.boundaries) != max(len(self.sizes) - 1, 0):
             raise NotAComplex("boundary count does not match dimension count")
         for n in range(len(self.boundaries) - 1):
-            if not _product_is_zero(self.boundaries[n], self.boundaries[n + 1]):
-                raise NotAComplex(f"boundary squared is nonzero between dims {n + 2} and {n}")
+            if not _product_is_zero(self.boundaries[n], self.boundaries[n + 1], self.ring):
+                raise NotAComplex(
+                    f"boundary squared is nonzero{self.ring.over} between dims {n + 2} and {n}"
+                )
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * c for n, c in enumerate(self.sizes))
@@ -87,16 +159,21 @@ class HomologyResult:
     torsion: list  # per dimension, invariant factors > 1 (each divides the next)
 
 
-def _product_is_zero(a: dict, b: dict) -> bool:
+def _product_is_zero(a: dict, b: dict, ring: Ring = INTEGERS) -> bool:
+    """Whether the product of two matrices over ``ring`` vanishes."""
     rows_of_b: dict[int, list] = {}
-    for (r, c), v in b.items():
-        rows_of_b.setdefault(r, []).append((c, v))
-    acc: dict[tuple[int, int], int] = {}
-    for (r, mid), va in a.items():
-        for c, vb in rows_of_b.get(mid, ()):  # a[r,mid] * b[mid,c]
+    for (r, c), y in b.items():
+        rows_of_b.setdefault(r, []).append((c, y))
+    one, zero, times_inverse, minus_product = (
+        ring.one, ring.zero, ring.times_inverse, ring.minus_product,
+    )
+    acc: dict[tuple[int, int], object] = {}
+    for (r, mid), x in a.items():
+        f = times_inverse(x, one)
+        for c, y in rows_of_b.get(mid, ()):  # a[r,mid] * b[mid,c]
             key = (r, c)
-            acc[key] = acc.get(key, 0) + va * vb
-    return all(v == 0 for v in acc.values())
+            acc[key] = minus_product(acc.get(key) or zero(), f, y)
+    return not any(acc.values())
 
 
 def alternating_signs(n: int) -> list:
@@ -110,20 +187,27 @@ def chain_complex(s: SemiSimplicialSet) -> ChainComplex:
     return face_chain_complex(s.labels, s.faces, alternating_signs)
 
 
-def face_chain_complex(cells, faces, signs) -> ChainComplex:
+def face_chain_complex(cells, faces, signs, ring=INTEGERS, twists=None) -> ChainComplex:
     """Chain complex of cells stored with face indices (``faces[n][c]``
     indexes level n-1), whose boundary on level n is sum_i signs(n)[i] d_i,
-    d_i the i-th listed face."""
+    d_i the i-th listed face.  Over a group ring, d_i of cell c is twisted
+    by [t], t = ``twists[n][i][c]``, or the identity where ``twists[n][i]``
+    is None (``twisted_chain_complex``)."""
+    plus_term, zero = ring.plus_term, ring.zero
     boundaries = []
     for n in range(1, len(cells)):
-        mat: dict[tuple[int, int], int] = {}
+        mat: dict[tuple[int, int], object] = {}
         slot_signs = signs(n)
-        for j, fs in enumerate(faces[n]):
-            for f, sign in zip(fs, slot_signs):
+        if twists is None:
+            twisted = repeat(repeat(0))
+        else:
+            twisted = zip(*[repeat(0) if col is None else col for col in twists[n]])
+        for j, (fs, ts) in enumerate(zip(faces[n], twisted)):
+            for f, t, sign in zip(fs, ts, slot_signs):
                 key = (f, j)
-                mat[key] = mat.get(key, 0) + sign
+                mat[key] = plus_term(mat.get(key) or zero(), sign, t)
         boundaries.append({k: v for k, v in mat.items() if v})
-    return ChainComplex([len(level) for level in cells], boundaries)
+    return ChainComplex([len(level) for level in cells], boundaries, ring)
 
 
 def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
@@ -136,44 +220,40 @@ def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
     Cell (x, i) of the cover, at x * k! + i, has at slot s the face
     (x_s, rows[t][i]), t the twist t_{x,s}.  So its chains are free
     Z[G]-modules on the orbit cells, and its boundary is the orbit matrix
-    with entry sum_s signs(n)[s] [t_{x,s}] at (x_s, x): a
-    ``{rank: coefficient}`` dict, assembled as ``face_chain_complex`` does.
-    Entry [t] at (r, c) lifts to the k! entries at (r * k! + rows[t][i],
-    c * k! + i).  Then [t] [u] = [rows[t][u]] makes the lift B a ring map,
-    B([t]) B([u]) = B([rows[t][u]]), so it lifts products of matrices, and
-    d^2 = 0 is checked on the orbit matrices, k! times smaller.
+    with entry sum_s signs(n)[s] [t_{x,s}] at (x_s, x): ``face_chain_complex``
+    over ``group_ring(group)``.  Entry [t] at (r, c) lifts to the k!
+    entries at (r * k! + rows[t][i], c * k! + i).  Then [t] [u] =
+    [rows[t][u]] makes the lift B a ring map, B([t]) B([u]) =
+    B([rows[t][u]]), so it lifts products of matrices, and d^2 = 0 is
+    checked on the orbit matrices, k! times smaller.
 
-    The orbit matrices are reduced from the top down by
-    ``_group_ring_sweep``, which pivots on entries +-[pi], units of Z[G]
-    whose lifts are signed permutation matrices.  Each pivot is a Gaussian
-    elimination (Skoeldberg, "Morse theory from an algebraic viewpoint",
-    Trans. AMS 2006): for a unit u at (r, c) of d_n, the complex is
-    homotopy equivalent to the one without cells r and c, where d_n becomes
-    its Schur complement, the sweep's row operations, d_{n+1} loses row c
-    and d_{n-1} loses column r.  So each level drops, as columns, the rows
-    that the sweep of the level above pivoted on, which is ``homology``'s
-    clearing, and the residue of d_n drops, as rows, the columns that the
-    sweep of d_{n-1} pivots on.  Lifted, each step is an integer Gaussian
-    elimination on the pivot block B(u), so the lift of the residue, which
-    ``ChainComplex`` checks again, has the cover's homology.
+    The orbit matrices are reduced from the top down by the one sweep,
+    ``_markowitz_sweep``, over Z[G], with ``homology``'s clearing.  It
+    pivots on entries +-[pi], units of Z[G] whose lifts are signed
+    permutation matrices.  Each pivot is a Gaussian elimination
+    (Skoeldberg, "Morse theory from an algebraic viewpoint", Trans. AMS
+    2006): for a unit u at (r, c) of d_n, the complex is homotopy
+    equivalent to the one without cells r and c, where d_n becomes its
+    Schur complement M[rr, cc] - M[rr, c] u^-1 M[r, cc], the sweep's row
+    operations, d_{n+1} loses row c and d_{n-1} loses column r.  So each
+    level drops, as columns, the rows that the sweep of the level above
+    pivoted on, which is ``homology``'s clearing, and the residue of d_n
+    drops, as rows, the columns that the sweep of d_{n-1} pivots on.
+    Lifted, each step is an integer Gaussian elimination on the pivot block
+    B(u), so the lift of the residue, which ``ChainComplex`` checks again,
+    has the cover's homology.
     """
     if not cells:
         return ChainComplex([], [])
-    rows, width = group.rows, len(group)
-    inverse = [group.rank[p] for p in group.inverse]
-    orbit = _group_ring_boundaries(faces, twists, signs)
-    for n in range(len(orbit) - 1):
-        if not _group_ring_product_is_zero(orbit[n], orbit[n + 1], rows):
-            raise NotAComplex(
-                f"boundary squared is nonzero over Z[S_k] between dims {n + 2} and {n}"
-            )
+    ring = group_ring(group)
+    orbit = face_chain_complex(cells, faces, signs, ring, twists).boundaries
     cores, gone = [None] * len(orbit), [set() for _ in cells]
     cleared: set = set()
     for n in reversed(range(len(orbit))):
         mat = orbit[n]
         if cleared:
             mat = {key: x for key, x in mat.items() if key[1] not in cleared}
-        cores[n], pivots = _group_ring_sweep(mat, rows, inverse)
+        cores[n], pivots = _markowitz_sweep(mat, ring)
         cleared = {r for r, _ in pivots}
         gone[n] |= cleared
         gone[n + 1].update(c for _, c in pivots)
@@ -182,6 +262,7 @@ def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
         {x: j for j, x in enumerate(x for x in range(len(level)) if x not in out)}
         for level, out in zip(cells, gone)
     ]
+    rows, width = group.rows, len(group)
     boundaries = []
     for core, below, above in zip(cores, kept, kept[1:]):
         # a row missing from ``below`` is a pivot column of the sweep below
@@ -201,196 +282,93 @@ def _lift(mat: dict, rows, width: int) -> dict:
     return lifted
 
 
-def _group_ring_boundaries(faces, twists, signs) -> list:
-    """The boundaries of an orbit complex with twists over Z[G], entry
-    (x_s, x) -> {rank of t: coefficient} (``twisted_chain_complex``)."""
-    boundaries = []
-    for n in range(1, len(faces)):
-        mat: dict[tuple[int, int], dict] = {}
-        slot_signs = signs(n)
-        twisted = zip(*[repeat(0) if col is None else col for col in twists[n]])
-        for j, (fs, ts) in enumerate(zip(faces[n], twisted)):
-            for f, t, sign in zip(fs, ts, slot_signs):
-                x = mat.setdefault((f, j), {})
-                v = x.get(t, 0) + sign
-                if v:
-                    x[t] = v
-                else:
-                    del x[t]
-        boundaries.append({key: x for key, x in mat.items() if x})
-    return boundaries
-
-
-def _group_ring_product_is_zero(a: dict, b: dict, rows) -> bool:
-    """Whether the product of two matrices over Z[G] vanishes, with
-    [t] [u] = [rows[t][u]]."""
-    rows_of_b: dict[int, list] = {}
-    for (r, c), y in b.items():
-        rows_of_b.setdefault(r, []).append((c, y))
-    acc: dict[tuple[int, int], dict] = {}
-    for (r, mid), x in a.items():
-        for c, y in rows_of_b.get(mid, ()):  # a[r,mid] * b[mid,c]
-            z = acc.setdefault((r, c), {})
-            for t, p in x.items():
-                row = rows[t]
-                for u, q in y.items():
-                    g = row[u]
-                    z[g] = z.get(g, 0) + p * q
-    return not any(any(z.values()) for z in acc.values())
-
-
 # -- Smith normal form -------------------------------------------------------
 
-def _unit_pivot_sweep(entries: dict) -> tuple[int, dict, list]:
-    """Split off as many +-1 pivots as possible.
+def _markowitz_sweep(entries: dict, ring: Ring) -> tuple[dict, list]:
+    """Split off as many unit pivots as possible from a matrix over ``ring``.
 
-    Returns (number of unit pivots, remaining core entries, the (row, col)
-    pairs pivoted on, in pivot order).  With a unit pivot the column is
-    cleared by row operations and the row then clears for free, so the
-    matrix decomposes as diag(1) (+) core at each step.
+    Returns (the remaining core entries, the (row, col) pairs pivoted on,
+    in pivot order).  Each step clears the pivot's column by row operations
+    only, row rr -= (M[rr, c] u^-1) row r for the pivot u at (r, c), and
+    drops row r, so what is left is the Schur complement
+    M[rr, cc] - M[rr, c] u^-1 M[r, cc]: the matrix decomposes as
+    diag(u) (+) core at each step.  Over a group ring the entries' dicts are
+    updated in place.
 
-    Only row operations touch the entries: each step subtracts multiples of
-    the pivot row from the other rows, then drops that row.  So a row that
-    is pivoted on later has only gained multiples of earlier pivot rows, and
-    when it is pivoted on it is zero in every earlier pivot column.  Take
-    the pivot rows R and pivot columns C in pivot order.  On the columns C,
-    the pivot rows as they stand at their pivot times are L times the
-    input's R x C submatrix, with L unit lower triangular, and they form an
-    upper triangular matrix with +-1 on its diagonal: that submatrix has
-    determinant +-1.  ``homology`` relies on this to clear columns.
+    So a row that is pivoted on later has only gained multiples of earlier
+    pivot rows, and when it is pivoted on it is zero in every earlier pivot
+    column.  Take the pivot rows R and pivot columns C in pivot order.  Over
+    Z, on the columns C, the pivot rows as they stand at their pivot times
+    are L times the input's R x C submatrix, with L unit lower triangular,
+    and they form an upper triangular matrix with +-1 on its diagonal: that
+    submatrix has determinant +-1.  ``homology`` relies on this to clear
+    columns.
 
-    Pivots are taken in Markowitz order: the candidate +-1 entry with the
+    Pivots are taken in Markowitz order: the candidate unit entry with the
     smallest (len(row) - 1) * (len(col) - 1), the most fill one
     elimination can create, ties broken by position.  Candidates sit in a
     heap with lazy invalidation; an entry whose cost has changed since it
     was pushed is re-keyed when popped.  The order changes how many unit
-    pivots are found and what core is left, but not the invariant factors:
+    pivots are found and what core is left, but not the homology: over Z
     each step is unimodular, so diag(1) (+) core always has the Smith form
     of the input, and that form is unique.
     """
-    rows: dict[int, dict[int, int]] = {}
+    is_unit, times_inverse, minus_product, zero = (
+        ring.is_unit, ring.times_inverse, ring.minus_product, ring.zero,
+    )
+    rows: dict[int, dict] = {}
     cols: dict[int, set] = {}
-    for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
+    for (r, c), x in entries.items():
+        rows.setdefault(r, {})[c] = x
         cols.setdefault(c, set()).add(r)
 
     def cost(r, c):
         return (len(rows[r]) - 1) * (len(cols[c]) - 1)
 
-    heap = [(cost(r, c), r, c) for (r, c), v in entries.items() if v in (1, -1)]
+    heap = [(cost(r, c), r, c) for (r, c), x in entries.items() if is_unit(x)]
     heapify(heap)
     pivots = []
     while heap:
         key, r, c = heappop(heap)
         row = rows.get(r)
-        if row is None or row.get(c) not in (1, -1):
+        u = row.get(c) if row is not None else None
+        if u is None or not is_unit(u):
             continue
         now = cost(r, c)
         if now != key:
             heappush(heap, (now, r, c))
             continue
-        piv = row[c]
         pivots.append((r, c))
         row_r = rows.pop(r)
         for cc in row_r:
             cols[cc].discard(r)
         for rr in cols.pop(c):
             target = rows[rr]
-            factor = target.pop(c) * piv  # piv in {1,-1}: multiplier of row r
+            f = times_inverse(target.pop(c), u)  # the multiplier of row r
             for cc, v in row_r.items():
                 if cc == c:
                     continue
-                nv = target.get(cc, 0) - factor * v
-                if nv:
+                z = minus_product(target.get(cc) or zero(), f, v)
+                if z:
                     if cc not in target:
                         cols[cc].add(rr)
-                    target[cc] = nv
-                    if nv in (1, -1):
+                    target[cc] = z
+                    if is_unit(z):
                         heappush(heap, (cost(rr, cc), rr, cc))
                 else:
-                    del target[cc]
+                    target.pop(cc, None)
                     cols[cc].discard(rr)
             if not target:
                 del rows[rr]
-    core = {(r, c): v for r, row in rows.items() for c, v in row.items()}
-    return len(pivots), core, pivots
-
-
-def _group_ring_sweep(entries: dict, rows, inverse) -> tuple[dict, list]:
-    """``_unit_pivot_sweep`` over Z[G]: eliminate +-[pi] pivots.
-
-    An entry is a ``{rank: coefficient}`` dict, multiplied as [t] [u] =
-    [rows[t][u]], and ``inverse[p]`` is the rank of the inverse of p.  A
-    pivot is an entry with one term of coefficient +-1, a unit: u = e[p]
-    has inverse e[inverse[p]].  Pivots are taken in the same Markowitz
-    order, from the same heap with lazy invalidation, and each step clears
-    its column by row operations only, row rr -= (M[rr, c] u^-1) row r,
-    and drops row r, so what is left of d is its Schur complement
-    M[rr, cc] - M[rr, c] u^-1 M[r, cc].  Returns (the core, the (row, col)
-    pairs pivoted on, in pivot order).  Fill can make an entry of several
-    terms, which is never a pivot; any pivot order gives the same homology.
-    The entries' dicts are updated in place.
-    """
-    mat: dict[int, dict[int, dict]] = {}
-    cols: dict[int, set] = {}
-    for (r, c), x in entries.items():
-        mat.setdefault(r, {})[c] = x
-        cols.setdefault(c, set()).add(r)
-
-    def cost(r, c):
-        return (len(mat[r]) - 1) * (len(cols[c]) - 1)
-
-    def unit(x):
-        return len(x) == 1 and next(iter(x.values())) in (1, -1)
-
-    heap = [(cost(r, c), r, c) for (r, c), x in entries.items() if unit(x)]
-    heapify(heap)
-    pivots = []
-    while heap:
-        key, r, c = heappop(heap)
-        row = mat.get(r)
-        x = row.get(c) if row is not None else None
-        if x is None or not unit(x):
-            continue
-        now = cost(r, c)
-        if now != key:
-            heappush(heap, (now, r, c))
-            continue
-        ((p, e),) = x.items()
-        q = inverse[p]
-        pivots.append((r, c))
-        row_r = mat.pop(r)
-        for cc in row_r:
-            cols[cc].discard(r)
-        for rr in cols.pop(c):
-            target = mat[rr]
-            # the multiplier M[rr, c] u^-1 of row r, each term [f] as rows[f]
-            factor = [(rows[rows[t][q]], a * e) for t, a in target.pop(c).items()]
-            for cc, v in row_r.items():
-                if cc == c:
-                    continue
-                z = target.get(cc)
-                if z is None:
-                    z = target[cc] = {}
-                    cols[cc].add(rr)
-                for row_f, a in factor:
-                    for u, b in v.items():
-                        g = row_f[u]
-                        w = z.get(g, 0) - a * b
-                        if w:
-                            z[g] = w
-                        else:
-                            del z[g]
-                if z:
-                    if unit(z):
-                        heappush(heap, (cost(rr, cc), rr, cc))
-                else:
-                    del target[cc]
-                    cols[cc].discard(rr)
-            if not target:
-                del mat[rr]
-    core = {(r, c): x for r, row in mat.items() for c, x in row.items()}
+    core = {(r, c): x for r, row in rows.items() for c, x in row.items()}
     return core, pivots
+
+
+def _unit_pivot_sweep(entries: dict) -> tuple[int, dict, list]:
+    """``_markowitz_sweep`` over Z: (number of +-1 pivots, the core, the
+    pivots)."""
+    core, pivots = _markowitz_sweep(entries, INTEGERS)
+    return len(pivots), core, pivots
 
 
 def _dense_smith(entries: dict) -> list:
@@ -509,7 +487,7 @@ def homology(cc: ChainComplex) -> HomologyResult:
 
     - The sweep of d_{n+1} pivots on +-1 entries with row operations only,
       so the input's submatrix on its pivot rows R and pivot columns C has
-      determinant +-1 (see ``_unit_pivot_sweep``).
+      determinant +-1 (see ``_markowitz_sweep``).
     - Hence {d_{n+1} e_c : c in C} together with {e_s : s not in R} is a
       Z-basis of C_n: in the order R first, its matrix is block triangular
       with blocks d_{n+1}[R, C] and the identity.

@@ -22,7 +22,8 @@ def write_graph(capsys, tmp_path, family, *params):
 
 def test_gen_writes_graph(capsys, tmp_path):
     path = write_graph(capsys, tmp_path, "s1_min")
-    data = json.loads(open(path).read())
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     assert data["vertices"] == ["v"]
     assert data["edges"][0]["ends"] == ["v", "v"]
 

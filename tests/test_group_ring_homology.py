@@ -20,10 +20,13 @@ from graphconf import graphs as gr
 from graphconf import model
 from graphconf.errors import NotAComplex
 from graphconf.homology import (
-    _group_ring_boundaries,
+    INTEGERS,
     _lift,
+    _markowitz_sweep,
     alternating_signs,
     chain_complex,
+    face_chain_complex,
+    group_ring,
     homology,
     twisted_chain_complex,
 )
@@ -76,6 +79,27 @@ def test_trivial_group_keeps_the_orbit_nerves_torsion(k):
     assert (got.betti, got.torsion) == (ref.betti, ref.torsion)
 
 
+sparse_matrices = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.integers(-2, 2).filter(bool),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices)
+def test_sweep_over_the_trivial_group_is_the_integer_sweep(entries):
+    # Z[S_1] is Z with entry v as {0: v}: one elimination, so the same
+    # pivots in the same order and the same core
+    core, pivots = _markowitz_sweep(dict(entries), INTEGERS)
+    ring_core, ring_pivots = _markowitz_sweep(
+        {key: {0: v} for key, v in entries.items()}, group_ring(Permutations(1))
+    )
+    assert ring_pivots == pivots
+    assert {key: x[0] for key, x in ring_core.items()} == core
+    assert all(list(x) == [0] for x in ring_core.values())
+
+
 def times(a: dict, b: dict) -> dict:
     """Product of two sparse integer matrices."""
     rows_of_b = {}
@@ -101,7 +125,9 @@ def test_lift_is_multiplicative(k):
 @pytest.mark.parametrize("graph, k", [(gr.theta_graph(), 3), (k4(), 3)], ids=["theta-3", "k4-3"])
 def test_lift_of_the_orbit_boundaries_is_the_covers(graph, k):
     _, orbit, _, right, _ = model.orbit_cover(graph, k)
-    twisted = _group_ring_boundaries(orbit.faces, model._twists(orbit), alternating_signs)
+    twisted = face_chain_complex(
+        orbit.labels, orbit.faces, alternating_signs, group_ring(right), model._twists(orbit)
+    ).boundaries
     lifted = [_lift(mat, right.rows, len(right)) for mat in twisted]
     assert lifted == chain_complex(model.cover(orbit, right)).boundaries
 
