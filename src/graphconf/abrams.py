@@ -82,10 +82,6 @@ class AbramsComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * len(level) for n, level in enumerate(self.cells))
 
-    def all_cells(self):
-        for level in self.cells:
-            yield from level
-
     def validate_face_identities(self) -> None:
         """Check that every n-cube (n >= 1) has 2n faces, each an index into
         dimension n-1, and that d_i^e d_j^f = d_{j-1}^f d_i^e for i < j.

@@ -23,10 +23,10 @@ only the last may hit the plus end.
 names each source by its key ``(entries, blocks)``, which identifies a
 configuration cell, and builds no ``BraidCell``: the face category looks
 keys up in an index of its cells, and the orbit category canonicalises
-them.  ``morphisms_into`` is its cell-level view, sorted, for callers that
-want source cells.  ``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
-data is the S_k action.  ``canonical_order`` names the least cell of a
-cell's orbit and the permutation between them without acting on a cell.
+them.  ``compose_data`` composes data, and ``act_on_cell`` with
+``relocate`` on data is the S_k action.  ``canonical_order`` names the
+least cell of a cell's orbit and the permutation between them without
+acting on a cell.
 
 Both models start from the least cell of each orbit, which
 ``canonical_cells`` generates directly from the multisets of vertices and
@@ -280,21 +280,6 @@ def faces_into(d: BraidCell):
             data[i] = eps
         blocks = tuple(block for _, block in combo if block[1])
         yield (tuple(entries), blocks), tuple(data)
-
-
-def morphisms_into(d: BraidCell) -> list[tuple]:
-    """All nonidentity face-category morphisms with target d, as
-    (source cell, datum) pairs sorted by (source sort key, datum).
-
-    The cell-level view of ``faces_into``: the same morphisms with each
-    source built as a ``BraidCell``.
-    """
-    out = [
-        (BraidCell(d.k, entries, blocks, d.graph), data)
-        for (entries, blocks), data in faces_into(d)
-    ]
-    out.sort(key=lambda m: (m[0].sort_key(), m[1]))
-    return out
 
 
 def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:

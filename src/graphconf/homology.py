@@ -16,26 +16,29 @@ the core needs a divisibility chain, since a unit divides everything; both
 keep the work near-linear in the nonzeros of a boundary matrix.  Invariant
 factors are unique, so neither choice can change a result.
 
-``homology`` reduces the boundaries from the top dimension down and clears
-as it goes (the "twist" of Chen-Kerber, "Persistent homology computation
-with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and compress",
-2014): a row the sweep of d_{n+1} pivoted on is a column of d_n that
-cannot add to its image, so that column never reaches the sweep.  The
-argument that this is exact is in ``homology``'s docstring.
+``reduce`` is the one top-down clearing loop, over the ``Ring`` of a
+complex's entries.  It sweeps the boundaries from the top dimension down
+and clears as it goes (the "twist" of Chen-Kerber, "Persistent homology
+computation with a twist", 2011, and Bauer-Kerber-Reininghaus, "Clear and
+compress", 2014): a row the sweep of d_{n+1} pivoted on is a column of d_n
+that cannot add to its image, so that column never reaches the sweep.  Each
+pivot is a Gaussian elimination in the sense of algebraic Morse theory
+(Skoeldberg, "Morse theory from an algebraic viewpoint", Trans. AMS 2006),
+which holds over any ring with a unit pivot, so the residue it returns has
+the complex's homology; the argument is in ``reduce``'s docstring.
+``homology`` is ``reduce`` over Z followed by ``_dense_smith`` of each
+residue boundary.
 
 The ordered model is the S_k-cover of the orbit nerve, so its chains are
 free Z[S_k]-modules on the orbit chains.  One boundary assembly
-(``face_chain_complex``), one d^2 check (``_product_is_zero``) and one
-unit-pivot sweep (``_markowitz_sweep``) serve Z and Z[S_k] alike, over
-the ``Ring`` of the matrix's entries: ints for Z, ``{rank: coefficient}``
-dicts for ``group_ring``.  ``twisted_chain_complex`` assembles the orbit
-boundaries over the group ring, checks d^2 = 0 there, reduces them with
-the sweep, which pivots on the units +-[pi], and with the same clearing,
-and lifts only the residue to the integers.  Each pivot is a Gaussian
-elimination in the sense of algebraic Morse theory (Skoeldberg, "Morse
-theory from an algebraic viewpoint", Trans. AMS 2006), which holds over
-any ring with a unit pivot, and its lift k! disjoint integer unit pivots,
-so the residue has the cover's homology.
+(``face_chain_complex``), one d^2 check (``_product_is_zero``), one
+unit-pivot sweep (``_unit_pivot_sweep``) and one reduction (``reduce``)
+serve Z and Z[S_k] alike, over the ``Ring`` of the matrix's entries: ints
+for Z, ``{rank: coefficient}`` dicts for ``group_ring``.
+``twisted_chain_complex`` is ``reduce`` over the group ring, whose sweep
+pivots on the units +-[pi], followed by ``_lift`` of the residue to the
+integers; the lift of each such pivot is k! disjoint integer unit pivots,
+so the lifted residue has the cover's homology.
 
 The homology of a model, and of an Abrams complex, as the CLI reports it,
 is computed on a free-face collapse, which removes cells before any matrix
@@ -210,70 +213,90 @@ def face_chain_complex(cells, faces, signs, ring=INTEGERS, twists=None) -> Chain
     return ChainComplex([len(level) for level in cells], boundaries, ring)
 
 
-def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
-    """A chain complex with the homology of the k!-sheeted cover
-    ``nerve.lift_faces(faces, twists, group, None)`` of an orbit complex,
-    whose boundary on level n is sum_s signs(n)[s] d_s: its boundaries over
-    the group ring Z[G], G = ``group``, reduced there, and only the residue
-    lifted to the integers.
+def reduce(cc: ChainComplex) -> tuple[list, list]:
+    """A smaller complex over ``cc.ring`` with the homology of ``cc``: the
+    basis sizes and boundaries of the cells that no pivot removed,
+    renumbered in order.  Over a group ring ``cc``'s entries are updated in
+    place.
 
-    Cell (x, i) of the cover, at x * k! + i, has at slot s the face
-    (x_s, rows[t][i]), t the twist t_{x,s}.  So its chains are free
-    Z[G]-modules on the orbit cells, and its boundary is the orbit matrix
-    with entry sum_s signs(n)[s] [t_{x,s}] at (x_s, x): ``face_chain_complex``
-    over ``group_ring(group)``.  Entry [t] at (r, c) lifts to the k!
-    entries at (r * k! + rows[t][i], c * k! + i).  Then [t] [u] =
-    [rows[t][u]] makes the lift B a ring map, B([t]) B([u]) =
-    B([rows[t][u]]), so it lifts products of matrices, and d^2 = 0 is
-    checked on the orbit matrices, k! times smaller.
+    The boundaries are swept from the top dimension down by
+    ``_unit_pivot_sweep``.  Before d_n (``boundaries[n - 1]``, from C_n to
+    C_{n-1}) is swept, every column whose index is a row that the sweep of
+    d_{n+1} pivoted on is dropped; the residue of d_n is the core of its
+    sweep without the rows that the sweep of d_{n-1} pivots on as columns.
+    This is exact because each pivot is a Gaussian elimination (Skoeldberg,
+    "Morse theory from an algebraic viewpoint", Trans. AMS 2006).  For a
+    unit u at (r, c) of d_{n+1}, r in C_n and c in C_{n+1}, write
+    d_{n+1} = [[u, b], [g, M']] with r and c first.  As d^2 = 0, the
+    complex is homotopy equivalent to the one without cells r and c, where
 
-    The orbit matrices are reduced from the top down by the one sweep,
-    ``_markowitz_sweep``, over Z[G], with ``homology``'s clearing.  It
-    pivots on entries +-[pi], units of Z[G] whose lifts are signed
-    permutation matrices.  Each pivot is a Gaussian elimination
-    (Skoeldberg, "Morse theory from an algebraic viewpoint", Trans. AMS
-    2006): for a unit u at (r, c) of d_n, the complex is homotopy
-    equivalent to the one without cells r and c, where d_n becomes its
-    Schur complement M[rr, cc] - M[rr, c] u^-1 M[r, cc], the sweep's row
-    operations, d_{n+1} loses row c and d_{n-1} loses column r.  So each
-    level drops, as columns, the rows that the sweep of the level above
-    pivoted on, which is ``homology``'s clearing, and the residue of d_n
-    drops, as rows, the columns that the sweep of d_{n-1} pivots on.
-    Lifted, each step is an integer Gaussian elimination on the pivot block
-    B(u), so the lift of the residue, which ``ChainComplex`` checks again,
-    has the cover's homology.
+    - d_{n+1} becomes its Schur complement M' - g u^-1 b, which the sweep's
+      row operations leave, row rr -= (M[rr, c] u^-1) row r;
+    - d_n loses column r, a column the clearing drops before d_n's sweep;
+    - d_{n+2} loses row c, a row the residue of d_{n+2} drops.
+
+    The homotopy equivalence holds over any ring in which u is a unit, and
+    the sweep pivots only on units, so the residue has the homology of
+    ``cc``, whose d^2 = 0 ``ChainComplex`` checked on construction.
     """
-    if not cells:
-        return ChainComplex([], [])
-    ring = group_ring(group)
-    orbit = face_chain_complex(cells, faces, signs, ring, twists).boundaries
-    cores, gone = [None] * len(orbit), [set() for _ in cells]
-    cleared: set = set()
-    for n in reversed(range(len(orbit))):
-        mat = orbit[n]
+    ring = cc.ring
+    cores, gone = [None] * len(cc.boundaries), [set() for _ in cc.sizes]
+    cleared: set = set()  # rows of the sweep above, as columns of this matrix
+    for n in reversed(range(len(cc.boundaries))):
+        mat = cc.boundaries[n]
         if cleared:
             mat = {key: x for key, x in mat.items() if key[1] not in cleared}
-        cores[n], pivots = _markowitz_sweep(mat, ring)
+        _, cores[n], pivots = _unit_pivot_sweep(mat, ring)
         cleared = {r for r, _ in pivots}
         gone[n] |= cleared
         gone[n + 1].update(c for _, c in pivots)
     # the residue's cells, numbered in order; a core's columns are all kept
     kept = [
-        {x: j for j, x in enumerate(x for x in range(len(level)) if x not in out)}
-        for level, out in zip(cells, gone)
+        {x: j for j, x in enumerate(x for x in range(size) if x not in out)}
+        for size, out in zip(cc.sizes, gone)
     ]
-    rows, width = group.rows, len(group)
-    boundaries = []
-    for core, below, above in zip(cores, kept, kept[1:]):
+    boundaries = [
         # a row missing from ``below`` is a pivot column of the sweep below
-        residue = {(below[r], above[c]): x for (r, c), x in core.items() if r in below}
-        boundaries.append(_lift(residue, rows, width))
-    return ChainComplex([width * len(level) for level in kept], boundaries)
+        {(below[r], above[c]): x for (r, c), x in core.items() if r in below}
+        for core, below, above in zip(cores, kept, kept[1:])
+    ]
+    return [len(level) for level in kept], boundaries
+
+
+def twisted_chain_complex(cells, faces, twists, group, signs) -> ChainComplex:
+    """A chain complex with the homology of the k!-sheeted cover
+    ``nerve.lift_faces(faces, twists, group, None)`` of an orbit complex,
+    whose boundary on level n is sum_s signs(n)[s] d_s: ``reduce`` of its
+    boundaries over the group ring Z[G], G = ``group``, and only the
+    residue lifted to the integers.
+
+    Cell (x, i) of the cover, at x * k! + i, has at slot s the face
+    (x_s, rows[t][i]), t the twist t_{x,s}.  So its chains are free
+    Z[G]-modules on the orbit cells, and its boundary is the orbit matrix
+    with entry sum_s signs(n)[s] [t_{x,s}] at (x_s, x): ``face_chain_complex``
+    over ``group_ring(group)``, whose lift (``_lift``) is the cover's
+    boundary.  The lift B is a ring map, B([t]) B([u]) = B([rows[t][u]]),
+    so it lifts products of matrices: d^2 = 0 is checked on the orbit
+    matrices, k! times smaller, and each step of ``reduce`` lifts to
+    Gaussian eliminations on the pivot block B(u), a signed permutation
+    matrix.  So the lift of the residue, which ``ChainComplex`` checks
+    again, has the cover's homology.
+    """
+    if not cells:
+        return ChainComplex([], [])
+    sizes, residue = reduce(face_chain_complex(cells, faces, signs, group_ring(group), twists))
+    width = len(group)
+    return ChainComplex(
+        [width * size for size in sizes], [_lift(mat, group.rows, width) for mat in residue]
+    )
 
 
 def _lift(mat: dict, rows, width: int) -> dict:
-    """The integer matrix of a matrix over Z[G]: entry [t] at (r, c) goes
-    to the ``width`` = |G| entries at (r * width + rows[t][i], c * width + i)."""
+    """The integer matrix of a matrix over Z[G], G = ``rows``'s group:
+    restriction of scalars from Z[G] to Z, the ring of the trivial
+    subgroup, on the basis (x, i) of the free module on cells x.  Entry
+    [t] at (r, c) goes to the ``width`` = |G| entries at
+    (r * width + rows[t][i], c * width + i)."""
     lifted = {}
     for (r, c), x in mat.items():
         r, c = r * width, c * width
@@ -284,16 +307,16 @@ def _lift(mat: dict, rows, width: int) -> dict:
 
 # -- Smith normal form -------------------------------------------------------
 
-def _markowitz_sweep(entries: dict, ring: Ring) -> tuple[dict, list]:
+def _unit_pivot_sweep(entries: dict, ring: Ring = INTEGERS) -> tuple[int, dict, list]:
     """Split off as many unit pivots as possible from a matrix over ``ring``.
 
-    Returns (the remaining core entries, the (row, col) pairs pivoted on,
-    in pivot order).  Each step clears the pivot's column by row operations
-    only, row rr -= (M[rr, c] u^-1) row r for the pivot u at (r, c), and
-    drops row r, so what is left is the Schur complement
-    M[rr, cc] - M[rr, c] u^-1 M[r, cc]: the matrix decomposes as
-    diag(u) (+) core at each step.  Over a group ring the entries' dicts are
-    updated in place.
+    Returns (the number of unit pivots, the remaining core entries, the
+    (row, col) pairs pivoted on, in pivot order).  Each step clears the
+    pivot's column by row operations only, row rr -= (M[rr, c] u^-1) row r
+    for the pivot u at (r, c), and drops row r, so what is left is the
+    Schur complement M[rr, cc] - M[rr, c] u^-1 M[r, cc]: the matrix
+    decomposes as diag(u) (+) core at each step.  Over a group ring the
+    entries' dicts are updated in place.
 
     So a row that is pivoted on later has only gained multiples of earlier
     pivot rows, and when it is pivoted on it is zero in every earlier pivot
@@ -301,8 +324,7 @@ def _markowitz_sweep(entries: dict, ring: Ring) -> tuple[dict, list]:
     Z, on the columns C, the pivot rows as they stand at their pivot times
     are L times the input's R x C submatrix, with L unit lower triangular,
     and they form an upper triangular matrix with +-1 on its diagonal: that
-    submatrix has determinant +-1.  ``homology`` relies on this to clear
-    columns.
+    submatrix has determinant +-1.
 
     Pivots are taken in Markowitz order: the candidate unit entry with the
     smallest (len(row) - 1) * (len(col) - 1), the most fill one
@@ -361,13 +383,6 @@ def _markowitz_sweep(entries: dict, ring: Ring) -> tuple[dict, list]:
             if not target:
                 del rows[rr]
     core = {(r, c): x for r, row in rows.items() for c, x in row.items()}
-    return core, pivots
-
-
-def _unit_pivot_sweep(entries: dict) -> tuple[int, dict, list]:
-    """``_markowitz_sweep`` over Z: (number of +-1 pivots, the core, the
-    pivots)."""
-    core, pivots = _markowitz_sweep(entries, INTEGERS)
     return len(pivots), core, pivots
 
 
@@ -449,13 +464,11 @@ def _dense_smith(entries: dict) -> list:
     return factors
 
 
-def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
+def smith_normal_form(matrix) -> tuple[tuple, int]:
     """Nonzero invariant factors (divisibility chain) and rank of a matrix.
 
     Accepts a dense row-major sequence of sequences or a sparse dict
-    (row, col) -> value.  Arithmetic is exact at arbitrary precision.  If
-    ``pivots`` is a list, the (row, col) pairs of the unit-pivot sweep are
-    appended to it.
+    (row, col) -> value.  Arithmetic is exact at arbitrary precision.
 
     The sweep's factors are 1, which divides everything.  ``_dense_smith``
     re-enters a pivot until it divides every remaining entry, and that
@@ -470,9 +483,7 @@ def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
             for j, v in enumerate(row)
             if v
         }
-    units, core, swept = _unit_pivot_sweep(entries)
-    if pivots is not None:
-        pivots.extend(swept)
+    units, core, _ = _unit_pivot_sweep(entries)
     factors = [1] * units + _dense_smith(core)
     return tuple(factors), len(factors)
 
@@ -480,42 +491,23 @@ def smith_normal_form(matrix, pivots=None) -> tuple[tuple, int]:
 def homology(cc: ChainComplex) -> HomologyResult:
     """Betti numbers and torsion coefficients per dimension.
 
-    The boundaries are reduced from the top dimension down.  Before d_n
-    (``boundaries[n - 1]``, from C_n to C_{n-1}) goes to
-    ``smith_normal_form``, every column whose index is a row that the
-    unit-pivot sweep of d_{n+1} pivoted on is dropped.  This is exact:
-
-    - The sweep of d_{n+1} pivots on +-1 entries with row operations only,
-      so the input's submatrix on its pivot rows R and pivot columns C has
-      determinant +-1 (see ``_markowitz_sweep``).
-    - Hence {d_{n+1} e_c : c in C} together with {e_s : s not in R} is a
-      Z-basis of C_n: in the order R first, its matrix is block triangular
-      with blocks d_{n+1}[R, C] and the identity.
-    - d_n d_{n+1} = 0 sends the first part to 0, so the columns of d_n
-      outside R span the image lattice of d_n: the same rank and the same
-      invariant factors as the full matrix.
-
-    ``ChainComplex`` checks d^2 = 0 on construction, which is what makes
-    this sound.  Only unit pivots clear columns; the dense core's pivots
-    do not.
+    They are those of the residue that ``reduce`` leaves over Z (its
+    docstring argues why).  The residue's boundaries hold no +-1 entry,
+    since each sweep pivots until none is left, so each goes whole to
+    ``_dense_smith``.
     """
-    dims = len(cc.sizes)
+    sizes, residue = reduce(cc)
+    dims = len(sizes)
     ranks = [0] * (dims + 1)
-    torsion_of_next = [[] for _ in range(dims + 1)]
-    cleared: set = set()  # rows of the sweep above, as columns of this matrix
-    for n in reversed(range(len(cc.boundaries))):
-        mat = cc.boundaries[n]
-        if cleared:
-            mat = {k: v for k, v in mat.items() if k[1] not in cleared}
-        pivots: list = []
-        factors, rank = smith_normal_form(mat, pivots)
-        ranks[n + 1] = rank
-        torsion_of_next[n] = [f for f in factors if f > 1]
-        cleared = {r for r, _ in pivots}
-    betti = [cc.sizes[n] - ranks[n] - ranks[n + 1] for n in range(dims)]
+    torsion = [[] for _ in range(dims)]
+    for n, mat in enumerate(residue):
+        factors = _dense_smith(mat)
+        ranks[n + 1] = len(factors)
+        torsion[n] = [f for f in factors if f > 1]
+    betti = [sizes[n] - ranks[n] - ranks[n + 1] for n in range(dims)]
     if any(b < 0 for b in betti):
         raise NotAComplex("negative betti number; boundaries are inconsistent")
-    return HomologyResult(betti, [torsion_of_next[n] for n in range(dims)])
+    return HomologyResult(betti, torsion)
 
 
 def connected_components(s: SemiSimplicialSet) -> list:

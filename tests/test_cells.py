@@ -12,6 +12,18 @@ def cell_of(g, entries, blocks=()):
     return cl.BraidCell(len(entries), tuple(entries), tuple(sorted(blocks)), g)
 
 
+def morphisms_into(d):
+    """All nonidentity face-category morphisms with target d, as
+    (source cell, datum) pairs sorted by (source sort key, datum): the
+    morphisms of ``faces_into`` with each source built as a ``BraidCell``."""
+    out = [
+        (cl.BraidCell(d.k, entries, blocks, d.graph), data)
+        for (entries, blocks), data in cl.faces_into(d)
+    ]
+    out.sort(key=lambda m: (m[0].sort_key(), m[1]))
+    return out
+
+
 def braid_cell_faces(c):
     """One-step faces: merge two adjacent blocks of an edge group, or send
     its first (last) block to the edge's minus (plus) end when attached."""
@@ -48,7 +60,7 @@ def braid_cell_closure(c):
 
 def data_between(src, tgt):
     """Data of the morphisms src -> tgt, in the order morphisms_into lists them."""
-    return [data for source, data in cl.morphisms_into(tgt) if source == src]
+    return [data for source, data in morphisms_into(tgt) if source == src]
 
 
 def test_braid_cells_minimal_circle_k2():
@@ -153,7 +165,7 @@ def test_compose_unit_laws():
     cells = cl.configuration_cells(g, 2)
     identity = (cl.INTERIOR,) * 2
     for d in cells:
-        for _, data in cl.morphisms_into(d):
+        for _, data in morphisms_into(d):
             assert cl.compose_data(data, identity) == data
             assert cl.compose_data(identity, data) == data
 
@@ -165,7 +177,7 @@ def test_compose_associative_exhaustive():
     cells = cl.configuration_cells(g, 3)
     out_of = {}
     for d in cells:
-        for source, data in cl.morphisms_into(d):
+        for source, data in morphisms_into(d):
             out_of.setdefault(source, []).append((d, data))
     triples = 0
     for c in cells:
@@ -185,7 +197,7 @@ def test_compose_rejects_noncomposable():
     cat = face_category(cells)
     index = {c: i for i, c in enumerate(cells)}
     tgt = cell_of(g, [("e", "a"), ("e", "a")], [("a", ((0,), (1,)))])
-    source, data = cl.morphisms_into(tgt)[0]
+    source, data = morphisms_into(tgt)[0]
     m = cat.morphism_index[(index[source], index[tgt], data)]
     with pytest.raises(NonComposable):
         cat.compose(m, m)
@@ -195,7 +207,7 @@ def test_morphism_forces_rank_increase():
     g = gr.remove_leaves(gr.hub_graph(1, 1))
     cells = cl.configuration_cells(g, 2)
     for d in cells:
-        for source, _ in cl.morphisms_into(d):
+        for source, _ in morphisms_into(d):
             assert source.dimension < d.dimension
             assert source != d
 
@@ -231,8 +243,8 @@ def test_action_preserves_structure():
             assert image.dimension == c.dimension
         for d in cells:
             # a morphism goes to the one with the moved cells and datum
-            into_image = cl.morphisms_into(cl.act_on_cell(sigma, d))
-            for source, data in cl.morphisms_into(d):
+            into_image = morphisms_into(cl.act_on_cell(sigma, d))
+            for source, data in morphisms_into(d):
                 assert (cl.act_on_cell(sigma, source), cl.relocate(sigma, data)) in into_image
 
 
@@ -258,7 +270,7 @@ def test_morphisms_into_agrees_with_pairwise():
     ]
     for graph, k in cases:
         for d in cl.configuration_cells(graph, k):
-            into = cl.morphisms_into(d)
+            into = morphisms_into(d)
             assert into == sorted(into, key=lambda m: (m[0].sort_key(), m[1]))
             faces = {c for c in braid_cell_closure(d) if c != d and not cl.in_discriminant(c)}
             assert {source for source, _ in into} == faces
@@ -267,7 +279,7 @@ def test_morphisms_into_agrees_with_pairwise():
 def test_no_end_data_on_open_ends():
     g = gr.remove_leaves(gr.y_graph())  # all branches open at plus
     for d in cl.configuration_cells(g, 2):
-        for _, data in cl.morphisms_into(d):
+        for _, data in morphisms_into(d):
             for i, datum in enumerate(data):
                 if datum == cl.END_PLUS:
                     assert g.edge(d.entries[i][1]).end_plus is not None

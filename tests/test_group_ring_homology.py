@@ -6,7 +6,9 @@ reduces the orbit boundaries over the group ring and lifts only the
 residue; ``model.cover_chain_complex`` feeds it the orbit nerve's twists.
 Its Betti numbers and torsion must be those of the lifted cover's own chain
 complex, the lift must be a ring map, and a corrupted orbit nerve must end
-in exit 4.
+in exit 4.  Synthetic free Z[S_3]-complexes, whose entries need not be
+units and whose lifts may have torsion, must reduce to their lifts'
+homology too.
 """
 
 import json
@@ -20,9 +22,9 @@ from graphconf import graphs as gr
 from graphconf import model
 from graphconf.errors import NotAComplex
 from graphconf.homology import (
-    INTEGERS,
+    ChainComplex,
     _lift,
-    _markowitz_sweep,
+    _unit_pivot_sweep,
     alternating_signs,
     chain_complex,
     face_chain_complex,
@@ -91,13 +93,168 @@ sparse_matrices = st.dictionaries(
 def test_sweep_over_the_trivial_group_is_the_integer_sweep(entries):
     # Z[S_1] is Z with entry v as {0: v}: one elimination, so the same
     # pivots in the same order and the same core
-    core, pivots = _markowitz_sweep(dict(entries), INTEGERS)
-    ring_core, ring_pivots = _markowitz_sweep(
+    _, core, pivots = _unit_pivot_sweep(dict(entries))
+    _, ring_core, ring_pivots = _unit_pivot_sweep(
         {key: {0: v} for key, v in entries.items()}, group_ring(Permutations(1))
     )
     assert ring_pivots == pivots
     assert {key: x[0] for key, x in ring_core.items()} == core
     assert all(list(x) == [0] for x in ring_core.values())
+
+
+# -- synthetic free Z[S_3]-complexes, whose entries need not be units ---------
+
+S3 = Permutations(3)
+TAU, SIGMA = S3.rank[(1, 0, 2)], S3.rank[(1, 2, 0)]
+SIGMA2 = S3.rows[SIGMA][SIGMA]
+
+
+def element(*terms) -> dict:
+    """sum a [t] over the (a, t) in ``terms``, as a group ring entry."""
+    x = {}
+    for a, t in terms:
+        x[t] = x.get(t, 0) + a
+    return {t: a for t, a in x.items() if a}
+
+
+def ring_times(x: dict, y: dict) -> dict:
+    return element(*((a * b, S3.rows[t][u]) for t, a in x.items() for u, b in y.items()))
+
+
+def ring_plus(x: dict, y: dict) -> dict:
+    return element(*((a, t) for t, a in x.items()), *((b, u) for u, b in y.items()))
+
+
+def face_form(sizes, boundaries):
+    """(cells, faces, twists, signs) for ``twisted_chain_complex`` whose
+    orbit matrices are ``boundaries``, dicts (r, c) -> entry over Z[S_3].
+
+    A term a [t] at (r, c) is |a| faces r of cell c with twist t.  Level n
+    has P positive slots, P the most positive terms of a cell, then
+    negative ones.  A cell with p < P positive terms fills the other P - p
+    positive slots with +[e] on row 0 and follows its negative terms with
+    as many -[e] on row 0, which cancel them."""
+    faces, twists, slot_signs = [[() for _ in range(sizes[0])]], [[]], {}
+    for n, mat in enumerate(boundaries, 1):
+        terms = [([], []) for _ in range(sizes[n])]
+        for (r, c), x in sorted(mat.items()):
+            for t, a in x.items():
+                terms[c][a < 0].extend([(r, t)] * abs(a))
+        width = max((len(pos) for pos, _ in terms), default=0)
+        pads = [[(0, 0)] * (width - len(pos)) for pos, _ in terms]
+        lists = [pos + pad + neg + pad for (pos, neg), pad in zip(terms, pads)]
+        slots = max(map(len, lists), default=0)
+        slot_signs[n] = [1] * width + [-1] * (slots - width)
+        faces.append([tuple(r for r, _ in cell) for cell in lists])
+        twists.append([[cell[s][1] if s < len(cell) else 0 for cell in lists] for s in range(slots)])
+    return [list(range(size)) for size in sizes], faces, twists, slot_signs.__getitem__
+
+
+def assert_reduced_lift_is_the_lift(sizes, boundaries):
+    cells, faces, twists, signs = face_form(sizes, boundaries)
+    reduced = homology(twisted_chain_complex(cells, faces, twists, S3, signs))
+    lift = ChainComplex(
+        [len(S3) * size for size in sizes], [_lift(mat, S3.rows, len(S3)) for mat in boundaries]
+    )
+    assert reduced == homology(lift)
+    return reduced
+
+
+FREE_CASES = {
+    # d_1 = 2[e]: the lift is 2 I_6
+    "twice-e": ([1, 1], [{(0, 0): element((2, 0))}], [0, 0], [[2] * 6, []]),
+    # ([e] - [tau]) ([e] + [tau]) = 0: tau acts freely, in 3 pairs
+    "tau": ([1, 1, 1], [{(0, 0): element((1, 0), (-1, TAU))},
+                        {(0, 0): element((1, 0), (1, TAU))}], [3, 0, 3], [[], [], []]),
+    "twice-tau": ([1, 1, 1], [{(0, 0): element((1, 0), (-1, TAU))},
+                              {(0, 0): element((2, 0), (2, TAU))}], [3, 0, 3], [[], [2] * 3, []]),
+    # the norm of <sigma> after [e] - [sigma]: sigma acts freely, in 2 triples
+    "norm": ([1, 1, 1], [{(0, 0): element((1, 0), (1, SIGMA), (1, SIGMA2))},
+                         {(0, 0): element((1, 0), (-1, SIGMA))}], [4, 0, 2], [[], [], []]),
+    # "twice-tau" beside unit pivots in d_1 and d_2 and an edge a2 with d a2 = 0,
+    # which the pivot of d_2 clears from d_1
+    "units": (
+        [2, 3, 2],
+        [{(0, 0): element((1, 0), (-1, TAU)), (1, 1): element((1, SIGMA)),
+          (0, 1): element((-1, 0))},
+         {(0, 0): element((2, 0), (2, TAU)), (2, 1): element((1, SIGMA))}],
+        [3, 0, 3], [[], [2] * 3, []],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FREE_CASES, ids=list(FREE_CASES))
+def test_reduction_of_non_unit_entries_is_the_lifts(case):
+    sizes, boundaries, betti, torsion = FREE_CASES[case]
+    got = assert_reduced_lift_is_the_lift(sizes, boundaries)
+    assert (got.betti, got.torsion) == (betti, torsion)
+
+
+# split blocks: x at (target, source) of one boundary, or (y, x) with y x = 0
+# along two, target -> middle -> source; [t] and -[t] are units
+PAIRS = [
+    element((1, 0)), element((1, TAU)), element((-1, SIGMA)), element((2, 0)),
+    element((1, 0), (1, TAU)), element((1, 0), (-1, SIGMA)), element((2, 0), (2, TAU)),
+    element((3, TAU)),
+]
+ZIGZAGS = [
+    (element((1, 0), (-1, TAU)), element((1, 0), (1, TAU))),
+    (element((1, 0), (1, TAU)), element((1, 0), (-1, TAU))),
+    (element((1, 0), (-1, TAU)), element((2, 0), (2, TAU))),
+    (element((1, 0), (-1, SIGMA)), element((1, 0), (1, SIGMA), (1, SIGMA2))),
+    (element((1, 0), (1, SIGMA), (1, SIGMA2)), element((1, 0), (-1, SIGMA))),
+]
+MULTIPLIERS = [element((1, 0)), element((-1, TAU)), element((1, SIGMA)), element((1, 0), (1, TAU))]
+
+
+@st.composite
+def free_complexes(draw):
+    """A free Z[S_3]-complex of 3-4 levels: split blocks and free cells,
+    hidden by changes of basis E = 1 + lam e_ij of a level, which take d_n
+    to d_n E (column j += column i lam) and d_{n+1} to E^-1 d_{n+1}
+    (row i -= lam row j), so d^2 stays 0."""
+    levels = draw(st.integers(3, 4))
+    sizes = [draw(st.integers(0, 1)) for _ in range(levels)]
+    mats = [{} for _ in range(levels - 1)]
+
+    def cell(n):
+        sizes[n] += 1
+        return sizes[n] - 1
+
+    for n in range(levels - 1):
+        for x in draw(st.lists(st.sampled_from(PAIRS), max_size=2)):
+            mats[n][cell(n), cell(n + 1)] = x
+    for n in range(levels - 2):
+        for y, x in draw(st.lists(st.sampled_from(ZIGZAGS), max_size=1)):
+            middle = cell(n + 1)
+            mats[n][cell(n), middle] = y
+            mats[n + 1][middle, cell(n + 2)] = x
+    rng = draw(st.randoms(use_true_random=False))
+    for n in range(levels):
+        for _ in range(2 * sizes[n] if sizes[n] > 1 else 0):
+            i, j = rng.sample(range(sizes[n]), 2)
+            lam = rng.choice(MULTIPLIERS)
+            if n > 0:
+                mat = mats[n - 1]
+                for (r, c), x in list(mat.items()):
+                    if c == i:
+                        mat[r, j] = ring_plus(mat.get((r, j), {}), ring_times(x, lam))
+            if n < levels - 1:
+                mat = mats[n]
+                for (r, c), x in list(mat.items()):
+                    if r == j:
+                        minus = {t: -a for t, a in ring_times(lam, x).items()}
+                        mat[i, c] = ring_plus(mat.get((i, c), {}), minus)
+            for mat in mats:
+                for key in [key for key, x in mat.items() if not x]:
+                    del mat[key]
+    return sizes, mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_complexes())
+def test_reduction_of_free_complexes_is_the_lifts(case):
+    assert_reduced_lift_is_the_lift(*case)
 
 
 def times(a: dict, b: dict) -> dict:

@@ -18,6 +18,7 @@ from graphconf.homology import (
     chain_complex,
     connected_components,
     homology,
+    reduce,
     smith_normal_form,
 )
 from graphconf.model import model_complex
@@ -312,6 +313,21 @@ def test_clearing_matches_reference_on_hidden_torsion(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(hidden_torsion_complexes())
+def test_integer_residue_holds_no_unit(case):
+    # the sweeps leave no +-1 entry, so the dense reduction of the residue
+    # alone gives the homology
+    cc = case[0]
+    sizes, residue = reduce(cc)
+    assert all(v not in (1, -1) for mat in residue for v in mat.values())
+    factors = [_dense_smith(mat) for mat in residue]
+    ranks = [0] + [len(fs) for fs in factors] + [0]
+    betti = [size - ranks[n] - ranks[n + 1] for n, size in enumerate(sizes)]
+    torsion = [[f for f in fs if f > 1] for fs in factors] + [[]]
+    assert HomologyResult(betti, torsion) == reference_homology(cc)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_multigraphs(), st.integers(1, 3))
 def test_clearing_matches_reference_on_models(graph, k):
     assert_matches_reference(chain_complex(model_complex(graph, k)))
@@ -339,13 +355,13 @@ def test_clearing_drops_columns(monkeypatch):
     # boundaries[1], which still carries the Z/2 of H_1
     cc = chain_complex(model_complex(k33(), 3, quotient=True))
     seen = []
-    real = H.smith_normal_form
+    real = H._unit_pivot_sweep
 
-    def recording(matrix, pivots=None):
-        seen.append(len(matrix))
-        return real(matrix, pivots)
+    def recording(entries, ring=H.INTEGERS):
+        seen.append(len(entries))
+        return real(entries, ring)
 
-    monkeypatch.setattr(H, "smith_normal_form", recording)
+    monkeypatch.setattr(H, "_unit_pivot_sweep", recording)
     res = homology(cc)
     assert res.betti == [1, 4, 8, 0] and res.torsion == [[], [2], [], []]
     full = [len(m) for m in reversed(cc.boundaries)]

@@ -1,6 +1,6 @@
 """The face category and its nerve against the cell-object construction.
 
-``reference_face_category`` finds each source through ``morphisms_into`` and
+``reference_face_category`` finds each source through ``test_cells.morphisms_into`` and
 an index of ``BraidCell`` objects, and ``reference_build_nerve`` sorts every
 level, looks every face up and joins every label from its objects.  The
 library builds both from source keys and positions; the results must be
@@ -27,6 +27,7 @@ from graphconf.nerve import (
     quotient_by_free_action,
 )
 from graphconf.reduced import _keep_chain, build_reduced
+from test_cells import morphisms_into
 from test_orbit_nerve import k4, k33, small_multigraphs, xb
 
 
@@ -34,7 +35,7 @@ def reference_face_category(objs):
     index = {c: i for i, c in enumerate(objs)}
     morphisms = []
     for tgt, d in enumerate(objs):
-        for source, data in cl.morphisms_into(d):
+        for source, data in morphisms_into(d):
             morphisms.append((index[source], tgt, data))
     return AcyclicCategory(
         [c.label() for c in objs],
