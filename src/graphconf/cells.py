@@ -57,9 +57,10 @@ def compose_data(d2: tuple, d1: tuple) -> tuple:
     Per coordinate the composite datum is whichever morphism first sent the
     coordinate to an end: d2's entry if it is an end, else d1's (both taken
     relative to the final target's edges, which agree with the middle
-    cell's on d2-interior coordinates).
+    cell's on d2-interior coordinates).  ``INTERIOR`` is 0 and the ends
+    are not, so that entry is ``b or a``.
     """
-    return tuple(b if b != INTERIOR else a for a, b in zip(d1, d2))
+    return tuple([b or a for a, b in zip(d1, d2)])
 
 
 def data_label(data: tuple) -> str:
@@ -69,8 +70,8 @@ def data_label(data: tuple) -> str:
 def relocate(sigma: tuple[int, ...], seq: tuple) -> tuple:
     """Move the entry at coordinate j to coordinate sigma[j]."""
     out = list(seq)
-    for j, s in enumerate(sigma):
-        out[s] = seq[j]
+    for s, x in zip(sigma, seq):
+        out[s] = x
     return tuple(out)
 
 # Entry kinds: entries are ("v", id) or ("e", id); kind rank orders vertices

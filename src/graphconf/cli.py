@@ -203,7 +203,8 @@ def cmd_model(args) -> dict:
     if args.k < 1:
         raise InputError("k must be >= 1")
     if args.quotient:
-        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True)
+        # the report reads no label, so the orbit nerve is built without
+        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True, labels=False)
         return _report_of_complex(s, collapse=args.collapse)
     # the report reads neither chain order nor labels.  With --collapse the
     # f-vector is that of the collapse: k! times the collapsed orbit
@@ -237,10 +238,14 @@ def cmd_braidgroup(args) -> dict:
         g = gr.remove_leaves(g)
     # one orbit nerve serves both sides: it is the unordered model, and the
     # ordered model is its cover, built once the unordered report is made;
-    # the orbit category and the nerve's labels are freed before the ordered
-    # report, which holds the job's peak memory
+    # the orbit category is freed before the ordered report, which holds the
+    # job's peak memory.  The presentation names its generators by the
+    # labels of level 1, the only ones it reads, so only they are made
     cover = orbit_cover(g, args.k)
-    unordered = _group_report(cover[4])
+    labels = list(cover[4].labels)
+    if len(labels) > 1:
+        labels[1] = [cover[0].morphism_label(a) for a in cover[0].arrows]
+    unordered = _group_report(SemiSimplicialSet(labels, cover[4].faces))
     ordered = ordered_nerve(cover)
     del cover
     return {"ordered": _group_report(ordered), "unordered": unordered}

@@ -34,11 +34,14 @@ model (``collapsed_cover``), and count components on that cover's levels
 0 and 1; ``model --collapse`` prints that collapse's f-vector.  Only
 ``braidgroup``, which reads labels, builds the whole cover.
 
-One orbit nerve serves both sides.  ``orbit_cover`` builds it once and
-hands it back twice: labelled by lam, the base of the ordered model's
-cover, and with its own labels, the unordered model.  ``braidgroup``
-reports on the unordered model and then builds the ordered one from the
-same ``orbit_cover`` result.
+One orbit nerve serves both sides.  ``orbit_cover`` builds it once,
+unlabelled (``build_nerve(cat, labels=False)``), and hands it back twice:
+labelled by lam, the base of the ordered model's cover, and as the
+unordered model, each level a ``range``.  No homology report prints a
+chain label, and ``model --quotient`` builds the orbit nerve unlabelled
+too (``model_complex``).  ``braidgroup`` labels the unordered model's level 1 from the orbit
+category, reports on it, and then builds the ordered one from the same
+``orbit_cover`` result.
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
@@ -144,11 +147,13 @@ class OrbitCategory:
     canonical cell c and a permutation, its lift, and is named by an id:
     canonical cell r is member r, with the identity lift, and any other
     member takes the next id the first time an arrow reaches it
-    (``member``).  Its sort key and label are computed then, and its
-    after() list the first time a chain reaches it, so no member is made
-    that no chain reaches: 366 of the 61,200 cells of theta k=6.  A
-    morphism is its (source, target, datum) triple.  The objects are the
-    canonical cells, the arrows the lifts with a canonical source:
+    (``member``).  Its sort key is computed then, and its after() list the
+    first time a chain reaches it, so no member is made that no chain
+    reaches: 366 of the 61,200 cells of theta k=6.  Its label is made on
+    its first ``label`` call, and the homology reports make none.  A
+    morphism is its (source, target, datum) triple.  The objects are
+    ``range`` over the canonical cells, the arrows the lifts with a
+    canonical source:
     ``faces_into`` of canonical cells, moved by the permutation that makes
     their source canonical.  Each source is canonicalised from its own entries and blocks
     (``cells.canonical_order``), and no cell is looked up by its entries and
@@ -189,17 +194,19 @@ class OrbitCategory:
     """
 
     def __init__(self, canon: list):
-        # per member id: its canonical cell, lift, sort key and label
-        self._canon, self._lift, self._keys, self._labels = [], [], [], []
+        # per member id: its canonical cell, lift and sort key
+        self._canon, self._lift, self._keys = [], [], []
         self._members = {}  # (canonical cell, lift) -> member id
         # per canonical cell, what its members relocate: its entry keys and
-        # its label's parts; and its number of vertex entries, which lead
-        # its coordinates
-        self._templates = [(c.sort_key()[0], c.label_parts(), c.k - c.dimension) for c in canon]
+        # its number of vertex entries, which lead its coordinates; and,
+        # for ``label``, its label's parts
+        self._templates = [(c.sort_key()[0], c.k - c.dimension) for c in canon]
+        self._parts = [c.label_parts() for c in canon]
+        self._labels = {}  # member id -> its label, made on the first ``label`` call
         identity = tuple(range(canon[0].k)) if canon else ()
         for r in range(len(canon)):
             self.member(r, identity)
-        self.objects = self._labels[: len(canon)]
+        self.objects = range(len(canon))
         canon_of = {c.entries: r for r, c in enumerate(canon)}
         # _out[t]: after() of a morphism into member t, which lists the
         # arrows out of t's canonical cell moved to t.  A canonical cell's
@@ -221,9 +228,8 @@ class OrbitCategory:
 
     def member(self, r: int, lift: tuple) -> int:
         """The id of the member ``act_on_cell(lift, canon[r])``, made with
-        its key and label on the first call.
+        its key on the first call.
 
-        Its label is the canonical cell's, its parts relocated by the lift.
         Its key orders members as ``BraidCell.sort_key`` does, with no cell
         built: its entry keys, then the images under the lift of the
         canonical cell's edge coordinates, which follow its vertex ones in
@@ -234,11 +240,10 @@ class OrbitCategory:
         got = self._members.get((r, lift))
         if got is None:
             got = self._members[r, lift] = len(self._lift)
-            entry_keys, parts, verts = self._templates[r]
+            entry_keys, verts = self._templates[r]
             self._canon.append(r)
             self._lift.append(lift)
             self._keys.append(cl.relocate(lift, entry_keys) + lift[verts:])
-            self._labels.append(cl.cell_label(cl.relocate(lift, parts)))
         return got
 
     def _order(self, m: tuple) -> tuple:
@@ -276,20 +281,25 @@ class OrbitCategory:
         return self._keys[t]
 
     def label(self, t: int) -> str:
-        return self._labels[t]
+        """Member t's label: its canonical cell's, the parts relocated by its lift."""
+        got = self._labels.get(t)
+        if got is None:
+            parts = self._parts[self._canon[t]]
+            got = self._labels[t] = cl.cell_label(cl.relocate(self._lift[t], parts))
+        return got
 
     def lift(self, t: int) -> tuple:
         return self._lift[t]
 
     def top_label(self, m: tuple) -> str:
-        return self._labels[m[1]]
+        return self.label(m[1])
 
     def object_label(self, i: int) -> str:
-        return self.objects[i]
+        return self.label(i)
 
     def morphism_label(self, m: tuple) -> str:
         s, t, data = m
-        return arrow_label(self._labels[s], cl.data_label(data), self._labels[t])
+        return arrow_label(self.label(s), cl.data_label(data), self.label(t))
 
     def arrow_faces(self, m: tuple) -> tuple[int, int]:
         s, t, _ = m
@@ -322,7 +332,10 @@ def orbit_cover(g: gr.Graph, k: int) -> tuple:
     """What the ordered model is built from as the k!-sheeted cover of the
     orbit nerve: (cat, orbit, perms, right, nerve).  ``cat`` is the orbit
     category on the canonical cells of (g, k), ``nerve`` its nerve, the
-    unordered model, and ``orbit`` the same nerve with every chain c of
+    unordered model, built with no label (``build_nerve(cat,
+    labels=False)``): each level is a ``range``, and ``braidgroup``, the
+    one report that prints its labels, labels level 1 from ``cat``.
+    ``orbit`` is the same nerve with every chain c of
     level n >= 1 labelled by lam_c, the rank of the lift of its second
     object.  An arrow's is its target's lift; a longer chain's is its
     last face's, which has the same second object.  Level 0, which has no
@@ -332,7 +345,7 @@ def orbit_cover(g: gr.Graph, k: int) -> tuple:
     and ``nerve`` share their faces.
     """
     cat = OrbitCategory(cl.canonical_cells(g, k))
-    nerve = build_nerve(cat)
+    nerve = build_nerve(cat, labels=False)
     if not nerve.labels:
         return cat, nerve, [], [], nerve
     right = Permutations(k)
@@ -385,7 +398,7 @@ def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
     """
     if drop_leaves:
         g = gr.remove_leaves(g)
-    # the orbit category and the nerve's labels are freed before the collapse
+    # the orbit category is freed before the collapse
     _, orbit, _, right, _ = orbit_cover(g, k)
     validate_cover(orbit, right)
     return [len(right) * n for n in orbit.fvector()], collapse_free_faces(orbit), right
@@ -515,14 +528,16 @@ def ordered_nerve(cover: tuple) -> SemiSimplicialSet:
 
 
 def model_complex(
-    g: gr.Graph, k: int, drop_leaves: bool = False, quotient: bool = False
+    g: gr.Graph, k: int, drop_leaves: bool = False, quotient: bool = False, labels: bool = True
 ) -> SemiSimplicialSet:
     """The configuration model as a semi-simplicial set, with options applied
-    in the order: leaf removal, quotient.  The quotient is the orbit nerve
-    (``orbit_nerve``), and the ordered model its cover (``ordered_nerve``);
-    neither builds the face category on every configuration cell."""
+    in the order: leaf removal, quotient.  The quotient is the orbit nerve,
+    the nerve of ``OrbitCategory`` on the canonical cells, built with no
+    label if ``labels`` is false (``build_nerve``).  The ordered model is
+    its cover (``ordered_nerve``), which always has its labels.  Neither
+    builds the face category on every configuration cell."""
     if drop_leaves:
         g = gr.remove_leaves(g)
     if quotient:
-        return orbit_nerve(cl.canonical_cells(g, k))
+        return build_nerve(OrbitCategory(cl.canonical_cells(g, k)), labels)
     return ordered_nerve(orbit_cover(g, k))

@@ -118,7 +118,9 @@ class SemiSimplicialSet:
     # label is a unique id (a cell, or an arrow with its datum).  Above, it
     # names only the chain's objects, so parallel morphisms (as loops give)
     # repeat it: ordered k=3 on ``gen xb -x 2 -k 1 -l 1 -p 1 -q 1`` has 552
-    # level-2 chains whose label an earlier chain already has.
+    # level-2 chains whose label an earlier chain already has.  A complex
+    # that no report prints may hold a level as a ``range``, where a chain's
+    # label is its index (``build_nerve(cat, labels=False)``).
     labels: list
     faces: list  # faces[n][i]: tuple of n+1 indices into dimension n-1 (n >= 1)
 
@@ -322,7 +324,7 @@ def lift_faces(faces, twists, group, order) -> list:
     return lifted
 
 
-def build_nerve(cat) -> SemiSimplicialSet:
+def build_nerve(cat, labels=True) -> SemiSimplicialSet:
     """Semi-simplicial set of nondegenerate chains of the category: an
     ``AcyclicCategory`` or the orbit category ``model.OrbitCategory``.
 
@@ -333,6 +335,11 @@ def build_nerve(cat) -> SemiSimplicialSet:
     arrow of ``after(a)``, the arrows out of a's target, and
     ``top_label(a)`` labels that target.  An arrow x sits at
     ``position(x)`` in the list of the arrows out of its source.
+
+    With ``labels`` false the same loop builds the faces alone: each level
+    is ``range`` of its size, and none of the three label methods is
+    called.  The homology reports read no label, so they take this nerve;
+    ``braidgroup`` labels its level 1 from ``morphism_label``.
 
     Each level comes out in lexicographic order with no sort.  Level 1 is
     ``arrows``, which ascends and lists each object's arrows together.  If
@@ -365,25 +372,29 @@ def build_nerve(cat) -> SemiSimplicialSet:
     """
     if not cat.objects:
         return SemiSimplicialSet([], [])
-    obj_labels = [cat.object_label(i) for i in range(len(cat.objects))]
     lasts = list(cat.arrows)  # the last arrow of each chain at the level being extended
-    if not lasts:
-        return SemiSimplicialSet([obj_labels], [[]])
     rows = [cat.arrow_faces(a) for a in lasts]
-    labels = [obj_labels, [cat.morphism_label(a) for a in lasts]]
+    if labels:
+        obj_labels = [cat.object_label(i) for i in range(len(cat.objects))]
+        levels = [obj_labels, [cat.morphism_label(a) for a in lasts]]
+        top_label = cat.top_label
+        # paths[c]: the chain label of chain c's objects, bottom first
+        paths = [chain_label((obj_labels[s], top_label(a))) for a, (_, s) in zip(lasts, rows)]
+    else:
+        levels = [range(len(cat.objects)), range(len(lasts))]
+    if not lasts:
+        return SemiSimplicialSet(levels[:1], [[]])
     faces = [[], rows]
-    after, compose, position, top_label = cat.after, cat.compose, cat.position, cat.top_label
-    # paths[c]: the chain label of chain c's objects, bottom first
-    paths = [chain_label((obj_labels[s], top_label(a))) for a, (_, s) in zip(lasts, rows)]
+    after, compose, position = cat.after, cat.compose, cat.position
     # of the level below: start[f], the position of chain f's first child
     # in the level being extended
-    start = [0] * len(obj_labels)
+    start = [0] * len(levels[0])
     for i in range(len(rows) - 1, -1, -1):
         start[rows[i][1]] = i
 
     while True:
         nxt, new_faces, new_paths, new_start = [], [], [], []
-        for c, (a, (*fs, fn), path) in enumerate(zip(lasts, rows, paths)):
+        for c, (a, (*fs, fn)) in enumerate(zip(lasts, rows)):
             new_start.append(len(nxt))
             ms = after(a)
             if not ms:
@@ -397,14 +408,15 @@ def build_nerve(cat) -> SemiSimplicialSet:
                 )
             )
             nxt.extend(ms)
-            head = chain_label((path, ""))  # the parent's label and a separator
-            new_paths.extend([head + top_label(m) for m in ms])
+            if labels:
+                head = chain_label((paths[c], ""))  # the parent's label and a separator
+                new_paths.extend([head + top_label(m) for m in ms])
         if not nxt:
             break
-        labels.append(new_paths)
+        levels.append(new_paths if labels else range(len(nxt)))
         faces.append(new_faces)
         start, lasts, rows, paths = new_start, nxt, new_faces, new_paths
-    return SemiSimplicialSet(labels, faces)
+    return SemiSimplicialSet(levels, faces)
 
 
 def dimension(s: SemiSimplicialSet) -> int:
