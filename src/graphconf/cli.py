@@ -237,10 +237,12 @@ def cmd_braidgroup(args) -> dict:
     if args.remove_leaves:
         g = gr.remove_leaves(g)
     # one orbit nerve serves both sides: it is the unordered model, and the
-    # ordered model is its cover, built once the unordered report is made;
-    # the orbit category is freed before the ordered report, which holds the
-    # job's peak memory.  The presentation names its generators by the
-    # labels of level 1, the only ones it reads, so only they are made
+    # ordered model is its S_k-cover (``nerve.lift_faces``), which
+    # ``ordered_nerve`` sorts into the nerve's order and labels once the
+    # unordered report is made; the orbit category is freed before the
+    # ordered report, which holds the job's peak memory.  The presentation
+    # names its generators by the labels of level 1, the only ones it
+    # reads, so on the unordered side only they are made
     cover = orbit_cover(g, args.k)
     labels = list(cover[4].labels)
     if len(labels) > 1:

@@ -18,17 +18,17 @@ that lift is the least member of the orbit: the one
 ``quotient_by_free_action`` keeps.  Labels, chain order and faces are
 therefore those of the quotient of the ordered nerve.
 
-The ordered model, nerve(C), is the k!-sheeted cover of that nerve
-(``ordered_nerve``): every ordered chain is a permutation applied to one
-of those lifts, so its faces are index arithmetic on the orbit nerve's,
-and no configuration cell, face category or ordered composite is made.
+The ordered model, nerve(C), is the k!-sheeted cover of that nerve:
+every ordered chain is a permutation applied to one of those lifts, and
+no configuration cell, face category or ordered composite is made.
 Chain (c, sigma), sigma applied to orbit chain c's lift, has faces
 d_0 = (f_0, sigma o lam_c) and d_b = (f_b, sigma) for b >= 1, lam_c the
 lift of c's second object (``orbit_cover``): the twisted cover of
-``nerve.lift_faces``.  So the ordered model's chains are free
-Z[S_k]-modules on the orbit chains, and the homology reports reduce the
-orbit nerve's boundaries over Z[S_k] and lift only the residue
-(``cover_chain_complex``).  They reduce the orbit nerve's free-face
+``nerve.lift_faces``, which ``cover`` builds.  ``ordered_nerve`` sorts
+that cover into the nerve's order, one sort per level, and labels it.
+So the ordered model's chains are free Z[S_k]-modules on the orbit
+chains, and the homology reports reduce the orbit nerve's boundaries over
+Z[S_k] and lift only the residue (``cover_chain_complex``).  They reduce the orbit nerve's free-face
 collapse, whose cover is a maximal free-face collapse of the ordered
 model (``collapsed_cover``), and count components on that cover's levels
 0 and 1; ``model --collapse`` prints that collapse's f-vector.  Only
@@ -50,9 +50,7 @@ reference for ``ordered_nerve``.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate, permutations
-from operator import add
+from itertools import permutations
 
 from . import cells as cl
 from . import graphs as gr
@@ -63,6 +61,7 @@ from .nerve import (
     SemiSimplicialSet,
     arrow_label,
     build_nerve,
+    chain_label,
     collapse_free_faces,
     lift_faces,
     simplicial_identities,
@@ -317,17 +316,6 @@ def _least(entries: tuple, blocks: tuple) -> tuple:
     return lift, tuple(map(entries.__getitem__, lift))
 
 
-def orbit_nerve(objs: list) -> SemiSimplicialSet:
-    """The nerve of the face category on the configuration cells ``objs``
-    (listed in canonical order) divided by the free action of S_k.
-
-    Only the canonical cells of ``objs`` are read, the ones whose
-    ``canonical_order`` is the identity: ``canonical_cells`` lists just
-    these, and a full list of configuration cells also works."""
-    canon = [c for c in objs if cl.canonical_order(c.entries, c.blocks) == tuple(range(c.k))]
-    return build_nerve(OrbitCategory(canon))
-
-
 def orbit_cover(g: gr.Graph, k: int) -> tuple:
     """What the ordered model is built from as the k!-sheeted cover of the
     orbit nerve: (cat, orbit, perms, right, nerve).  ``cat`` is the orbit
@@ -414,116 +402,54 @@ def cover_chain_complex(orbit: SemiSimplicialSet, right) -> ChainComplex:
 
 
 def ordered_nerve(cover: tuple) -> SemiSimplicialSet:
-    """The ordered model, the nerve of the face category, as the k!-sheeted
-    cover of the orbit nerve, from ``cover``, the result of
-    ``orbit_cover(g, k)``: labels, chain order and faces are those of
-    ``build_nerve(face_category(configuration_cells(g, k)))``, and no
-    configuration cell, face category or ordered composite is made.  The
-    orbit category is dropped before the chains of level 2 and up are made,
-    unless the caller still holds ``cover``.
+    """The ordered model, from ``cover``, the result of ``orbit_cover(g, k)``:
+    the orbit nerve's k!-sheeted cover that the function ``cover`` lifts
+    (``nerve.lift_faces``), in the order and with the labels of
+    ``build_nerve(face_category(configuration_cells(g, k)))``.  No
+    configuration cell, face category or ordered composite is made.
 
-    Each ordered chain is sigma . c^ for one permutation sigma and one orbit
-    chain c, held as its lift c^ with a canonical bottom cell, and
-    d_0(sigma . c^) = (sigma o lam_c) . f_0^ and d_i(sigma . c^) =
-    sigma . f_i^ for i >= 1 (``orbit_cover``, the module docstring).  Its
-    last arrow is mu_c . alpha_c, alpha_c an arrow with a canonical source,
-    read through d_0: alpha_c = alpha_{f_0} and mu_c = lam_c o mu_{f_0}.
-
-    Level 0 is every member of every orbit, sorted by its key.  Level 1 is
-    each member's arrows in that order, each member's sorted by (target
-    position, datum): the face category's (source, target, datum) order, and
-    ``OrbitCategory.after``'s.  A longer chain is its parent d_n
-    extended by its last arrow, so it sits at its parent's first child plus
-    that arrow's position in the list out of the parent's end: the nerve's
-    lexicographic order, placed with no sort and no lookup.
+    Cover chain x * k! + i is perms[i] applied to orbit chain x's lift with
+    a canonical bottom cell.  One sort per level puts the cover in the
+    nerve's lexicographic order: level 0 by member key, level 1 by the
+    positions of (source, target), then datum, and level n >= 2 by the
+    positions of (d_n, d_0).  A chain of length n >= 2 is fixed by those two
+    faces.  Siblings under one parent d_n are ordered by their last arrow,
+    and that is also the order of their d_0 faces, which are siblings under
+    d_0 of the parent.  A chain's label is its parent's object path and its
+    top object, which is d_0's.
     """
     cat, orbit, perms, right = cover[:4]
     if not orbit.labels:
         return SemiSimplicialSet([], [])
-    lams, orbit = orbit.labels, orbit.faces
-    width, inverse, right = len(perms), right.inverse, right.rows
-    # the cover index of sigma . x, for x an object or chain of the orbit
-    # nerve, is x * width + rank(sigma); pos maps it to the ordered position
-    members = [cat.member(r, p) for r in range(len(cat.objects)) for p in perms]
+    members = [cat.member(r, p) for r in cat.objects for p in perms]
     order = sorted(range(len(members)), key=lambda x: cat.key(members[x]))
-    pos = [0] * len(members)
-    for p, x in enumerate(order):
-        pos[x] = p
     objects = [cat.label(members[x]) for x in order]
+    # perms[i] relocates a datum d to d o perms[i]^-1
+    data = [tuple(map(m[2].__getitem__, inv)) for m in cat.arrows for inv in right.inverse]
     labels, faces = [objects], [[]]
-    if len(orbit) == 1:
-        return SemiSimplicialSet(labels, faces)
-
-    # per canonical cell r, per arrow a = (r, t, d) out of it: a, the cover
-    # index of t's canonical cell, the rank of t's lift, and d
-    moves = [[] for _ in cat.objects]
-    for a, m in enumerate(cat.arrows):
-        moves[m[0]].append((a, cat.arrow_faces(m)[0] * width, lams[1][a], m[2]))
-    bars = ["|" + label for label in objects]
-    data_label = cache(cl.data_label)
-
-    # level 1: the arrows out of each member, members in level-0 order, and
-    # each member's sorted by (target, datum): its after() list, sorted here
-    # by the target's position.  Per orbit arrow a and rank i: slot[a][i],
-    # where perms[i] . a sits among the arrows out of its source, top[a][i],
-    # "|" and its target's label, and pos1, its position in level 1
-    slot = [[0] * width for _ in cat.arrows]
-    top = [[""] * width for _ in cat.arrows]
-    pos1 = [0] * (len(cat.arrows) * width)
-    degree, arrow_labels, arrow_faces = [], [], []
-    for p, x in enumerate(order):
-        r, i = divmod(x, width)
-        # perms[i] . a, for a = (r, t, d): its target's position and datum
-        moved = sorted(
-            (pos[b + right[lt][i]], tuple(map(d.__getitem__, inverse[i])), a)
-            for a, b, lt, d in moves[r]
-        )
-        s0 = len(arrow_labels)
-        degree.append(len(moved))
-        head = objects[p] + ">"
-        arrow_labels.extend([f"{head}{data_label(d)}>{objects[t]}" for t, d, _ in moved])
-        arrow_faces.extend([(t, p) for t, _, _ in moved])
-        for j, (t, _, a) in enumerate(moved):
-            slot[a][i] = j
-            top[a][i] = bars[t]
-            pos1[a * width + i] = s0 + j
-    labels.append(arrow_labels)
-    faces.append(arrow_faces)
-
-    # per orbit chain: mu_c as a rank, and alpha_c as an orbit arrow
-    mu = [0] * len(cat.arrows)
-    last = list(range(len(cat.arrows)))
-    # by cover index: ordered positions and object-path labels
-    pos = pos1
-    paths = [f"{objects[arrow_faces[p][1]]}{bars[arrow_faces[p][0]]}" for p in pos]
-    ends = [t for t, _ in arrow_faces]  # by ordered position: the level-0 position of its end
-    # the longer chains, most of the model, need none of these
-    del cat, cover, members, order, moves
-
-    for lam, level in zip(lams[2:], orbit[2:]):
-        start = list(accumulate([degree[e] for e in ends], initial=0))
-        first = list(map(start.__getitem__, pos))  # by cover index
-        new_pos, new_paths, new_faces = [], [], []
-        new_mu, new_last = [], []
-        for lam_c, (f0, *inner, fn) in zip(lam, level):
-            mu_c = right[mu[f0]][lam_c]
-            a = last[f0]
-            new_mu.append(mu_c)
-            new_last.append(a)
-            lo, hi = fn * width, fn * width + width
-            rho = right[mu_c]  # sigma o mu_c, over sigma
-            new_pos.extend(map(add, first[lo:hi], map(slot[a].__getitem__, rho)))
-            new_paths.extend(map(add, paths[lo:hi], map(top[a].__getitem__, rho)))
-            d0 = pos[f0 * width : f0 * width + width]
-            rows = [pos[f * width : f * width + width] for f in inner]
-            new_faces.extend(zip(map(d0.__getitem__, right[lam_c]), *rows, pos[lo:hi]))
-        inv = [0] * len(new_pos)  # by ordered position: the cover index
-        for i, p in enumerate(new_pos):
-            inv[p] = i
-        labels.append([new_paths[i] for i in inv])
-        faces.append([new_faces[i] for i in inv])
-        ends = [ends[fs[0]] for fs in faces[-1]]
-        pos, paths, mu, last = new_pos, new_paths, new_mu, new_last
+    tops, paths = range(len(objects)), objects  # by position: top object, object path
+    for n, level in enumerate(lift_faces(orbit.faces, _twists(orbit), right, None)[1:], 1):
+        pos = [0] * len(order)  # by cover index of level n - 1: its position
+        for p, x in enumerate(order):
+            pos[x] = p
+        level = [tuple(map(pos.__getitem__, fs)) for fs in level]
+        if n == 1:
+            keys = [(s, t, d) for (t, s), d in zip(level, data)]
+        else:
+            keys = [(fs[-1], fs[0]) for fs in level]
+        order = sorted(range(len(level)), key=keys.__getitem__)
+        level = [level[x] for x in order]
+        tops = [tops[fs[0]] for fs in level]
+        paths = [chain_label((paths[fs[-1]], objects[t])) for fs, t in zip(level, tops)]
+        if n == 1:
+            data_label = {d: cl.data_label(d) for d in set(data)}
+            arrows = map(keys.__getitem__, order)
+            labels.append(
+                [arrow_label(objects[s], data_label[d], objects[t]) for s, t, d in arrows]
+            )
+        else:
+            labels.append(paths)
+        faces.append(level)
     return SemiSimplicialSet(labels, faces)
 
 

@@ -11,8 +11,7 @@ boundary-matrix assembly a scan and keeps every downstream enumeration
 deterministic.  Level 1 lists the arrows in order, and a chain of length
 n >= 2 is fixed by d_0 (its tail) and d_n (its head), so no arrow tuple is
 stored.  ``build_nerve`` is the one loop that extends chains: it builds
-the unordered model from the orbit category, whose S_k-cover
-(``model.ordered_nerve``) is the ordered model, and the face category's
+the unordered model from the orbit category, and the face category's
 nerve, which the two-point model filters.  It produces each level in
 lexicographic order by extending the level below in order, so nothing is
 sorted and the children of a chain are consecutive.  So every face of a
@@ -23,7 +22,9 @@ face, d_0 included, extends the parent's face of that number by the new
 arrow.  A chain's label is its parent's plus its new top object.
 
 The S_k-covers of the orbit nerve and of the orbit cube complex share one
-check (``validate_twists``) and one lift (``lift_faces``).
+check (``validate_twists``) and one lift (``lift_faces``).  The ordered
+model is the lift of the unordered one, which ``model.ordered_nerve``
+sorts into the nerve's order, with no chain extended.
 """
 
 from dataclasses import dataclass
@@ -299,8 +300,9 @@ def lift_faces(faces, twists, group, order) -> list:
     index x * k! + i, has at slot s the face x_s * k! + rank(perms[i] o
     t_{x,s}), and ``order[n][i]``, if ``order`` is given, puts its slots in
     its own order.  Nothing is sorted.  The nerve's twists are lam_x at
-    slot 0 (``model.cover``), the cube complex's the relocations rho^-1, in
-    each cube's tuple order (``abrams.lift``).
+    slot 0: ``model.cover`` lifts with them, and ``model.ordered_nerve``
+    sorts that lift into the ordered model's order.  The cube complex's are
+    the relocations rho^-1, in each cube's tuple order (``abrams.lift``).
 
     A covering lifts the star of every cell isomorphically: an incidence of
     y as face s of x, twisted by t, lifts to exactly one incidence of each
@@ -436,8 +438,8 @@ def quotient_by_free_action(s: SemiSimplicialSet, action) -> SemiSimplicialSet:
     Orbit representatives are the lexicographically minimal members.
 
     ``reduced --quotient`` divides the two-point model by it, and the tests
-    use it as the reference for ``model.orbit_nerve``, which builds the
-    unordered model without the ordered nerve.
+    use it as the reference for the unordered model, the nerve of
+    ``model.OrbitCategory``, which is built without the ordered nerve.
     """
     if not s.labels:
         return SemiSimplicialSet([], [])

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from graphconf import cells, cli, model, nerve, reduced
+from graphconf import graphs as gr
 from test_cli import run, write_graph
 from test_orbit_nerve import k4, k33
 from test_ordered_nerve import refuse_configuration_cells
@@ -55,6 +56,21 @@ def test_braidgroup_xb_3_stdout_pinned(capsys, tmp_path):
     code, out, err = run(capsys, "braidgroup", "--graph", path, "-k", "3")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == BRAIDGROUP_XB_3_SHA256
+
+
+# sha256 of `braidgroup` stdout on K4, k=3, recorded before the ordered model
+# was sorted from the orbit nerve's lift.  Its ordered model, of
+# 1080/6264/9072/3888 chains, is the largest of the pinned braidgroup jobs.
+BRAIDGROUP_K4_3_SHA256 = "d689ec1af8078bc32fb4c6c0781e93812b246b9c212c0f48f7db1a379c18ae39"
+
+
+def test_braidgroup_k4_3_stdout_pinned(capsys, tmp_path):
+    g = k4()
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(gr.graph_to_json(g)))
+    code, out, err = run(capsys, "braidgroup", "--graph", str(path), "-k", "3")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == BRAIDGROUP_K4_3_SHA256
 
 
 def test_braidgroup_builds_one_model(capsys, tmp_path, monkeypatch):
@@ -141,6 +157,16 @@ def test_one_chain_extension_loop(capsys, tmp_path, monkeypatch, command, flags,
     code, _, err = run(capsys, command, "--graph", path, "-k", "3", *flags)
     assert code == 0, err
     assert len(calls) == builds
+
+
+def test_braidgroup_lifts_the_orbit_nerve(capsys, tmp_path, monkeypatch):
+    # the ordered model is the orbit nerve's S_k-cover, lifted once through
+    # nerve.lift_faces, the lift the homology reports and Abrams' complex use
+    path = write_graph(capsys, tmp_path, "theta")
+    calls = count_calls(monkeypatch, nerve, "lift_faces")
+    code, _, err = run(capsys, "braidgroup", "--graph", path, "-k", "3")
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_braidgroup_makes_no_configuration_cells(capsys, tmp_path, monkeypatch):

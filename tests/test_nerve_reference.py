@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphconf import cells as cl
 from graphconf import graphs as gr
-from graphconf.model import Model, build_model, face_category, orbit_nerve, symmetric_action
+from graphconf.model import Model, OrbitCategory, build_model, face_category, symmetric_action
 from graphconf.nerve import (
     AcyclicCategory,
     SemiSimplicialSet,
@@ -96,6 +96,16 @@ def rebuilt_chains(s):
         first = [first[fs[2]] for fs in s.faces[n]]
         chains.append([(a,) + chains[n - 1][fs[0]] for a, fs in zip(first, s.faces[n])])
     return chains
+
+
+def orbit_nerve(objs):
+    """The nerve of the face category on the configuration cells ``objs``
+    (listed in canonical order) divided by the free action of S_k, built
+    from the orbit category on their canonical cells, the ones whose
+    ``canonical_order`` is the identity, as ``model_complex(g, k,
+    quotient=True)`` builds it from ``canonical_cells``."""
+    canon = [c for c in objs if cl.canonical_order(c.entries, c.blocks) == tuple(range(c.k))]
+    return build_nerve(OrbitCategory(canon))
 
 
 def assert_matches_reference(g, k):
