@@ -318,28 +318,26 @@ def _adjacency(g: Graph) -> dict:
     return adj
 
 
+def _distances(adj: dict, source: str, skip_edge: str | None = None) -> dict:
+    """Edge counts of shortest paths from ``source`` over ``_adjacency``'s
+    ``adj``, by breadth-first search, not using the edge ``skip_edge``."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:  # the list grows as it is walked, in distance order
+        for eid, w in adj[v]:
+            if eid != skip_edge and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def _min_essential_distance(g: Graph) -> int | None:
-    ess = sorted(essential_vertices(g))
-    if len(ess) < 2:
-        return None
+    ess = essential_vertices(g)
     adj = _adjacency(g)
-    best = None
-    for src in ess:
-        dist = {src: 0}
-        queue = [src]
-        while queue:
-            nxt = []
-            for v in queue:
-                for _, w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            queue = nxt
-        for tgt in ess:
-            if tgt != src and tgt in dist:
-                if best is None or dist[tgt] < best:
-                    best = dist[tgt]
-    return best
+    return min(
+        (d for src in ess for w, d in _distances(adj, src).items() if w != src and w in ess),
+        default=None,
+    )
 
 
 def _girth(g: Graph) -> int | None:
@@ -352,26 +350,9 @@ def _girth(g: Graph) -> int | None:
     if any(n >= 2 for n in pairs.values()):
         return 2
     adj = _adjacency(g)
-    best = None
     # shortest cycle through each edge: remove it, BFS between its endpoints
-    for e in g.edges:
-        dist = {e.end_minus: 0}
-        queue = [e.end_minus]
-        while queue and e.end_plus not in dist:
-            nxt = []
-            for v in queue:
-                for eid, w in adj[v]:
-                    if eid == e.id:
-                        continue
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            queue = nxt
-        if e.end_plus in dist:
-            cycle = dist[e.end_plus] + 1
-            if best is None or cycle < best:
-                best = cycle
-    return best
+    paths = (_distances(adj, e.end_minus, e.id).get(e.end_plus) for e in g.edges)
+    return min((d + 1 for d in paths if d is not None), default=None)
 
 
 def cubical_chain_complex(a: AbramsComplex) -> ChainComplex:

@@ -7,14 +7,15 @@ complex of ``reduced`` follows it on edges (target minus source) and reads
 its 2-cell boundaries off their words.  The cube complex of ``abrams`` has
 its own: an n-cube's faces come in end pairs, and
 d = sum_p (-1)^(p-1) (d_p^+ - d_p^-) signs each pair by the number of edge
-factors before it.  Smith normal forms run in two phases: a sparse sweep
+factors before it.  Smith normal forms run in two phases on sparse rows,
+over Python integers, so no intermediate value ever overflows: a sweep
 that splits off unit pivots (which is almost all of a cellular boundary
-matrix), then a textbook reduction of the small remaining core over Python
-integers, so no intermediate value ever overflows.  The sweep takes its
-pivots in Markowitz order, the one that creates the least fill, and only
-the core needs a divisibility chain, since a unit divides everything; both
-keep the work near-linear in the nonzeros of a boundary matrix.  Invariant
-factors are unique, so neither choice can change a result.
+matrix), then one elimination loop (``_dense_smith``) on the small core
+left, which holds no +-1 entry.  The sweep takes its pivots in Markowitz
+order, the one that creates the least fill, and only the core needs a
+divisibility chain, since a unit divides everything; both keep the work
+near-linear in the nonzeros of a boundary matrix.  Invariant factors are
+unique, so neither choice can change a result.
 
 ``reduce`` is the one top-down clearing loop, over the ``Ring`` of a
 complex's entries.  It sweeps the boundaries from the top dimension down
@@ -61,7 +62,7 @@ residue it is given.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import mul
+from operator import index, mul
 from typing import Callable
 
 from .errors import NotAComplex
@@ -386,81 +387,61 @@ def _unit_pivot_sweep(entries: dict, ring: Ring = INTEGERS) -> tuple[int, dict, 
     return len(pivots), core, pivots
 
 
-def _dense_smith(entries: dict) -> list:
-    """Invariant factors of a small integer matrix, textbook reduction.
+def _subtract(row: dict, q: int, other: dict) -> None:
+    """row -= q * other, for sparse rows {col: value} that store no zero."""
+    for c, v in other.items():
+        w = row.get(c, 0) - q * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
 
-    Pivot choice is the smallest nonzero absolute value with ties broken by
-    position; rows and columns are reduced until the pivot divides them,
-    then cleared; a pivot is re-entered when some remaining entry is not
-    divisible by it, which enforces the divisibility chain.
+
+def _dense_smith(entries: dict) -> list:
+    """Invariant factors of an integer matrix, (row, col) -> nonzero entry,
+    by sparse elimination on rows {r: {c: v}}, the sweep's layout (Dumas,
+    Saunders and Villard, "On efficient sparse integer matrix Smith normal
+    form computations", J. Symb. Comput. 2001).  It gets the core that
+    ``_unit_pivot_sweep`` leaves, which has no +-1 entry and is small on
+    the models measured.  ``perfbench/tracer.py`` wraps it by this name, for
+    ``homology.dense_smith.self_s``.
+
+    Each pass picks the pivot p of least |v|, ties broken by (row, col), and
+    subtracts quotient multiples of the pivot row from the rows with an
+    entry in p's column.  If those leave no remainder, p is alone in its
+    column, and subtracting quotient multiples of that column from the
+    others leaves the pivot row's entries mod p.  If none of those is left
+    either, a row with an entry that p does not divide is added to the pivot
+    row, so one is; with no such row, |p| is recorded and its row dropped.
+
+    This is exact.  Every step is unimodular, and a pass that records
+    nothing leaves a remainder smaller than |p|, so the next pivot is
+    smaller and the loop ends.  A recorded p is alone in its row and column
+    and divides every entry left, hence every later pivot, an integer
+    combination of them: the factors form a divisibility chain.
     """
-    if not entries:
-        return []
-    rmap = {r: i for i, r in enumerate(sorted({r for r, _ in entries}))}
-    cmap = {c: j for j, c in enumerate(sorted({c for _, c in entries}))}
-    m, n = len(rmap), len(cmap)
-    a = [[0] * n for _ in range(m)]
+    rows: dict[int, dict] = {}
     for (r, c), v in entries.items():
-        a[rmap[r]][cmap[c]] = v
+        rows.setdefault(r, {})[c] = v
     factors = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = abs(a[i][j])
-                if v and (pivot is None or v < pivot[0]):
-                    pivot = (v, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = a[top][top]
-            done = True
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    for j in range(top, n):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-                        break
-            if done:
-                break
-        p = abs(a[top][top])
-        # pull any non-multiple into the pivot row and redo this pivot
-        culprit = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % p:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            for j in range(top, n):
-                a[top][j] += a[culprit][j]
-            continue
-        factors.append(p)
-        top += 1
-        if top >= m or top >= n:
-            break
+    while rows:
+        _, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        pivot = rows.pop(r)
+        p = pivot[c]
+        for row in rows.values():
+            if c in row:
+                _subtract(row, row[c] // p, pivot)
+        rows = {rr: row for rr, row in rows.items() if row}
+        if not any(c in row for row in rows.values()):
+            if all(v % p == 0 for v in pivot.values()):
+                culprits = [row for row in rows.values() if any(v % p for v in row.values())]
+                if not culprits:
+                    factors.append(abs(p))
+                    continue
+                _subtract(pivot, -1, culprits[0])
+            pivot = {cc: v % p for cc, v in pivot.items() if v % p}
+            pivot[c] = p
+        rows[r] = pivot
     return factors
 
 
@@ -468,21 +449,26 @@ def smith_normal_form(matrix) -> tuple[tuple, int]:
     """Nonzero invariant factors (divisibility chain) and rank of a matrix.
 
     Accepts a dense row-major sequence of sequences or a sparse dict
-    (row, col) -> value.  Arithmetic is exact at arbitrary precision.
+    (row, col) -> value, whose entries are integers (``operator.index``
+    accepts them); any other entry raises ValueError naming its position.
+    Arithmetic is exact at arbitrary precision.
 
-    The sweep's factors are 1, which divides everything.  ``_dense_smith``
-    re-enters a pivot until it divides every remaining entry, and that
-    step alone makes the core's factors a divisibility chain.
+    The sweep's factors are 1, which divides everything, and
+    ``_dense_smith`` records a pivot only once it divides every entry left,
+    so the core's factors follow them in a divisibility chain.
     """
     if isinstance(matrix, dict):
-        entries = {k: int(v) for k, v in matrix.items() if v}
+        items = matrix.items()
     else:
-        entries = {
-            (i, j): int(v)
-            for i, row in enumerate(matrix)
-            for j, v in enumerate(row)
-            if v
-        }
+        items = (((i, j), v) for i, row in enumerate(matrix) for j, v in enumerate(row))
+    entries = {}
+    for key, v in items:
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"matrix entry at {key} is not an integer: {v!r}") from None
+        if v:
+            entries[key] = v
     units, core, _ = _unit_pivot_sweep(entries)
     factors = [1] * units + _dense_smith(core)
     return tuple(factors), len(factors)
@@ -493,8 +479,8 @@ def homology(cc: ChainComplex) -> HomologyResult:
 
     They are those of the residue that ``reduce`` leaves over Z (its
     docstring argues why).  The residue's boundaries hold no +-1 entry,
-    since each sweep pivots until none is left, so each goes whole to
-    ``_dense_smith``.
+    since each sweep pivots until none is left, so each goes whole to the
+    sparse elimination loop ``_dense_smith``.
     """
     sizes, residue = reduce(cc)
     dims = len(sizes)

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -108,6 +109,48 @@ def test_snf_divisibility_chain(rows):
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
     assert all(f > 0 for f in factors)
+
+
+@pytest.mark.parametrize(
+    "matrix, where",
+    [
+        ([[1.5]], "(0, 0)"),
+        ([[0.5]], "(0, 0)"),
+        ({(0, 0): 2.7}, "(0, 0)"),
+        ([["2"]], "(0, 0)"),
+        ([[4, 6], [8, 1.5]], "(1, 1)"),
+    ],
+)
+def test_snf_refuses_non_integer_entries(matrix, where):
+    with pytest.raises(ValueError, match=re.escape(where)):
+        smith_normal_form(matrix)
+
+
+def test_snf_takes_int_and_bool_entries():
+    assert smith_normal_form([[True, False], [0, 2]]) == ((1, 2), 2)
+    assert smith_normal_form({(0, 1): 4, (1, 0): True, (1, 1): False}) == ((1, 4), 2)
+
+
+def test_dense_smith_on_unit_free_cores_against_minors_oracle():
+    # the sweep leaves _dense_smith a core with no +-1 entry, under sparse
+    # row and column labels
+    rng = random.Random(41)
+    values = [0] * 8 + [s * v for v in range(2, 10) for s in (1, -1)]
+    for case in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if case % 3 == 0:
+            a[rng.randrange(m)] = [0] * n
+        elif case % 3 == 1:
+            j = rng.randrange(n)
+            for row in a:
+                row[j] = 0
+        rows, cols = rng.sample(range(20), m), rng.sample(range(20), n)
+        entries = {(rows[i], cols[j]): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+        assert _dense_smith(entries) == invariant_factors_by_minors(tuple(map(tuple, a)))
+    assert _dense_smith({}) == []
+    # 2 divides no entry of the other row, which must be added to its row
+    assert _dense_smith({(0, 0): 2, (1, 1): 3}) == [1, 6]
 
 
 def test_chain_complex_square_boundary():
@@ -226,7 +269,7 @@ def test_snf_sparse_unit_heavy_against_minors_oracle():
 
 def test_snf_sparse_unit_heavy_against_dense_reduction():
     # larger than the minors oracle can handle: the sweep-then-core path
-    # must agree with the textbook reduction of the whole matrix
+    # must agree with _dense_smith's elimination of the whole matrix
     rng = random.Random(29)
     for case in range(12):
         m, n = rng.randint(20, 30), rng.randint(20, 30)
