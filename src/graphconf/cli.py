@@ -24,10 +24,9 @@ from .abrams import (
     validate_cover,
 )
 from .errors import InputError, InternalError
-from .homology import chain_complex, connected_components, homology
+from .homology import chain_complex, homology
 from .model import (
     collapsed_cover,
-    cover,
     cover_chain_complex,
     model_complex,
     orbit_cover,
@@ -99,9 +98,9 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     check of its chain complex.  Collapsing is exact over Z: a free pair is
     a +-1 entry alone in its row (the free face has one coface), a unit
     pivot whose elimination creates no fill, so removing the pair keeps
-    every Betti number and torsion coefficient, and the number of
-    components.  F-vector, dimension and Euler characteristic are those of
-    the full complex, or of the collapse when ``collapse`` is set.
+    every Betti number and torsion coefficient.  F-vector, dimension and
+    Euler characteristic are those of the full complex, or of the collapse
+    when ``collapse`` is set.
 
     The ordered model's reports do not come here.  ``model``, with or
     without ``--collapse``, and ``compare`` report it as
@@ -111,39 +110,33 @@ def _report_of_complex(s: SemiSimplicialSet, collapse: bool = False) -> dict:
     s.validate_face_identities()
     small = collapse_free_faces(s)
     fvector = (small if collapse else s).fvector()
-    return _report(fvector, chain_complex(small), len(connected_components(small)))
+    return _report(fvector, chain_complex(small))
 
 
 def _collapsed_report(fvector, small: SemiSimplicialSet, right) -> dict:
     """Report of the ordered model from ``model.collapsed_cover``: the
     f-vector ``fvector`` (the model's, or its collapse's for ``--collapse``),
     and ``small``, the collapsed orbit nerve labelled by lam, whose cover by
-    ``right`` is a collapse of the model.  Homology
+    ``right`` is a collapse of the model.  Homology, components included,
     is that of ``model.cover_chain_complex``: the orbit boundaries reduced
     over Z[S_k], where d^2 = 0 is checked, and only the residue lifted, on
-    which ``ChainComplex`` checks it again.  Components depend on the
-    monodromy of lam, not on the orbit nerve alone, so they come from the
-    union-find on the cover's levels 0 and 1, lifted with no matrix."""
-    skeleton = SemiSimplicialSet(small.labels[:2], small.faces[:2])
-    return _report(
-        fvector,
-        cover_chain_complex(small, right),
-        len(connected_components(cover(skeleton, right))),
-    )
+    which ``ChainComplex`` checks it again."""
+    return _report(fvector, cover_chain_complex(small, right))
 
 
-def _report(fvector, cc, components: int) -> dict:
-    """Report of a model with f-vector ``fvector`` and ``components``
-    components, whose homology is that of ``cc``, the chain complex of a
-    collapse of it or one with the same homology.  A collapse can empty the
-    top levels, so the homology is padded with zeros up to the model's
-    dimension."""
+def _report(fvector, cc) -> dict:
+    """Report of a model with f-vector ``fvector``, whose homology is that
+    of ``cc``, the chain complex of a collapse of it or one with the same
+    homology.  A collapse can empty the top levels, so the homology is
+    padded with zeros up to the model's dimension.  Rank H_0 counts the
+    components."""
+    hom = _padded_homology(cc, len(fvector))
     return {
         "fvector": list(fvector),
         "dimension": len(fvector) - 1 if fvector and fvector[0] else None,
         "euler": sum((-1) ** n * size for n, size in enumerate(fvector)),
-        **_padded_homology(cc, len(fvector)),
-        "components": components,
+        **hom,
+        "components": hom["betti"][0] if hom["betti"] else 0,
     }
 
 
@@ -302,7 +295,7 @@ def cmd_reduced(args) -> dict:
             "euler": gc.euler_characteristic(),
             "betti": hom.betti,
             "torsion": hom.torsion,
-            "components": len(connected_components(gc.complex)) if gc.vertices else 0,
+            "components": hom.betti[0],
             "cells": {
                 "vertices": gc.vertices,
                 "edges": [[eid, src, dst] for eid, src, dst in gc.edges],

@@ -148,7 +148,9 @@ def remove_leaves(g: Graph) -> Graph:
 def subdivide(g: Graph, n: int) -> Graph:
     """Replace each edge by a path of n edges through n-1 fresh vertices.
 
-    Requires a closed graph; n = 1 returns g unchanged.
+    Edge e's new vertices and edges take ids e.1, e.2, ..., a vertex's
+    primed ("e.1'") while g has it.  Requires a closed graph; n = 1
+    returns g unchanged.
     """
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
@@ -157,11 +159,14 @@ def subdivide(g: Graph, n: int) -> Graph:
     if not g.is_closed():
         raise OpenEdge("cannot subdivide a graph with open edge ends")
     verts = list(g.vertices)
+    taken = set(verts)  # no new id ends in a prime, so only g's can collide
     edges = []
     for e in g.edges:
         stops = [e.end_minus]
         for i in range(1, n):
             w = f"{e.id}.{i}"
+            while w in taken:
+                w += "'"
             verts.append(w)
             stops.append(w)
         stops.append(e.end_plus)

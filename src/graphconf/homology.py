@@ -497,7 +497,7 @@ def homology(cc: ChainComplex) -> HomologyResult:
 
 
 def connected_components(s: SemiSimplicialSet) -> list:
-    """Partition of the 0-chains under the 1-chain adjacency."""
+    """Partition of the 0-chains under the 1-chain adjacency (the tests' reference)."""
     groups: dict[int, list] = {}
     edges = s.faces[1] if len(s.faces) > 1 else []
     for i, r in enumerate(min_roots(s.size(0), edges)):

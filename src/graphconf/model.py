@@ -30,9 +30,9 @@ So the ordered model's chains are free Z[S_k]-modules on the orbit
 chains, and the homology reports reduce the orbit nerve's boundaries over
 Z[S_k] and lift only the residue (``cover_chain_complex``).  They reduce the orbit nerve's free-face
 collapse, whose cover is a maximal free-face collapse of the ordered
-model (``collapsed_cover``), and count components on that cover's levels
-0 and 1; ``model --collapse`` prints that collapse's f-vector.  Only
-``braidgroup``, which reads labels, builds the whole cover.
+model (``collapsed_cover``), whose rank H_0 is its number of components.
+``model --collapse`` prints that collapse's f-vector.  Only ``braidgroup``,
+which reads labels, builds the whole cover; ``cover`` lifts for the tests.
 
 One orbit nerve serves both sides.  ``orbit_cover`` builds it once,
 unlabelled (``build_nerve(cat, labels=False)``), and hands it back twice:

@@ -300,9 +300,9 @@ def lift_faces(faces, twists, group, order) -> list:
     index x * k! + i, has at slot s the face x_s * k! + rank(perms[i] o
     t_{x,s}), and ``order[n][i]``, if ``order`` is given, puts its slots in
     its own order.  Nothing is sorted.  The nerve's twists are lam_x at
-    slot 0: ``model.cover`` lifts with them, and ``model.ordered_nerve``
-    sorts that lift into the ordered model's order.  The cube complex's are
-    the relocations rho^-1, in each cube's tuple order (``abrams.lift``).
+    slot 0: ``model.ordered_nerve`` sorts their lift into the ordered
+    model's order.  The cube complex's are the relocations rho^-1, in each
+    cube's tuple order (``abrams.lift``).
 
     A covering lifts the star of every cell isomorphically: an incidence of
     y as face s of x, twisted by t, lifts to exactly one incidence of each
