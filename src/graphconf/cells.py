@@ -19,14 +19,14 @@ morphisms.  The closure order on an edge's coordinates forces extremality:
 only the first coordinate of the target's order may hit the minus end and
 only the last may hit the plus end.
 
-``faces_into`` is the one enumeration of the morphisms into a cell.  It
-names each source by its key ``(entries, blocks)``, which identifies a
-configuration cell, and builds no ``BraidCell``: the face category looks
-keys up in an index of its cells, and the orbit category canonicalises
-them.  ``compose_data`` composes data, and ``act_on_cell`` with
-``relocate`` on data is the S_k action.  ``canonical_order`` names the
-least cell of a cell's orbit and the permutation between them without
-acting on a cell.
+``face_moves`` is the one enumeration of the morphisms into a cell: it
+lists each one's moves (coordinate, end, vertex) and builds no source.
+``faces_into`` applies them and names each source by its key ``(entries,
+blocks)``, which identifies a configuration cell, for the face category
+to look up in an index of its cells; the orbit category applies them to
+integer codes of the symbols and sorts those (``model.OrbitCategory``).
+``compose_data`` composes data, and ``act_on_cell`` with ``relocate`` on
+data is the S_k action.
 
 Both models start from the least cell of each orbit, which
 ``canonical_cells`` generates directly from the multisets of vertices and
@@ -38,7 +38,7 @@ which the two-point model filters.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import WrongDegree
 from .graphs import Graph
@@ -81,6 +81,12 @@ _KIND_RANK = {"v": 0, "e": 1}
 
 def _entry_key(entry):
     return (_KIND_RANK[entry[0]], entry[1])
+
+
+def symbols(g: Graph) -> list:
+    """The entries a cell of g can hold, ascending by ``_entry_key``: the
+    vertices by id, then the edges by id."""
+    return sorted([("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges], key=_entry_key)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def enumerate_braid_cells(g: Graph, k: int) -> list[BraidCell]:
     """Every braid cell of the k-fold product, in ``sort_key`` order.
 
     The cells are not sorted as a whole.  The symbols are listed by
-    ``_entry_key``, so ``product`` yields the entry
+    ``_entry_key`` (``symbols``), so ``product`` yields the entry
     tuples in ``sort_key`` order, and only the cells of one entry tuple
     remain to be ordered, by ``blocks``.  Their edge groups come in
     ascending edge id, and each group's ordered partitions are sorted once
@@ -153,11 +159,9 @@ def enumerate_braid_cells(g: Graph, k: int) -> list[BraidCell]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    symbols = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
-    symbols.sort(key=_entry_key)
     partitions: dict[tuple, list] = {}  # coordinate tuple -> its ordered partitions, sorted
     cells = []
-    for entries in product(symbols, repeat=k):
+    for entries in product(symbols(g), repeat=k):
         groups: dict[str, list[int]] = {}
         for i, entry in enumerate(entries):
             if entry[0] == "e":
@@ -192,59 +196,62 @@ def configuration_cells(g: Graph, k: int) -> list[BraidCell]:
 def canonical_cells(g: Graph, k: int) -> list[BraidCell]:
     """The least configuration cell of each S_k orbit, in ``sort_key`` order.
 
-    The least cell of an orbit lists its entries in ascending order
-    (``canonical_order``): j distinct vertices on coordinates 0..j-1, then
-    a multiset of k-j edges, each edge's coordinates in ascending order as
-    singleton blocks.  So the orbits are the multisets of k symbols that
-    repeat no vertex (Swiatkowski's 0-cells, sum_j C(|V|, j) C(|E|+k-j-1, k-j)
-    of them), and the cells are generated from them directly, with no braid
-    cell and no filter.  The symbols are listed by ``_entry_key``, and the
-    multisets are grown in that order, each symbol followed only by itself
-    (an edge) or by later symbols, so they come out in ``sort_key`` order.
+    The least cell of an orbit lists its entries in ascending order: j
+    distinct vertices on coordinates 0..j-1, then a multiset of k-j edges,
+    each edge's coordinates in ascending order as singleton blocks.  So the
+    orbits are the multisets of k symbols that repeat no vertex
+    (Swiatkowski's 0-cells, sum_j C(|V|, j) C(|E|+k-j-1, k-j) of them), and
+    the cells are generated from them directly, with no braid cell, no
+    filter and no recursion.  A cell is its vertex set and its edge
+    multiset, and its entries compare as their ranks in ``symbols`` do.  Of
+    two cells the one whose vertex set comes first in that order comes
+    first, where a set that is a prefix of the other comes after it: at the
+    first coordinate past the shorter set the longer has a vertex, the
+    other an edge.  So the vertex sets are sorted once, by their ranks
+    followed by |V|, and each one's edge multisets follow in the order
+    ``combinations_with_replacement`` yields them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    symbols = [("v", v) for v in g.vertices] + [("e", e.id) for e in g.edges]
-    symbols.sort(key=_entry_key)
-    cells: list[BraidCell] = []
-    _grow(g, k, symbols, len(g.vertices), (), 0, cells)
-    return cells
+    nv, syms = len(g.vertices), symbols(g)
+    verts, edges = syms[:nv], syms[nv:]
+    # with no edge, a cell is k vertices
+    sizes = range(min(nv, k) + 1) if edges else [k] if k <= nv else []
+    subsets = sorted(
+        (vs for j in sizes for vs in combinations(range(nv), j)), key=lambda vs: vs + (nv,)
+    )
+    # per vertex count j, the edge multisets on coordinates j..k-1 with their blocks
+    tails = {j: [(t, _singleton_blocks(t, j)) for t in combinations_with_replacement(edges, k - j)]
+             for j in sizes}
+    return [
+        BraidCell(k, tuple(map(verts.__getitem__, vs)) + tail, blocks, g)
+        for vs in subsets for tail, blocks in tails[len(vs)]
+    ]
 
 
-def _grow(g: Graph, k: int, symbols: list, nv: int, entries: tuple, lo: int, cells: list) -> None:
-    """Append to ``cells`` every canonical cell whose entries extend
-    ``entries`` by symbols from ``lo`` on (``canonical_cells``); the first
-    ``nv`` symbols are the vertices, which do not repeat."""
-    if len(entries) == k:
-        groups: dict[str, list] = {}  # ascending edge id, as entries ascend
-        for i, entry in enumerate(entries):
-            if entry[0] == "e":
-                groups.setdefault(entry[1], []).append((i,))
-        blocks = tuple((eid, tuple(part)) for eid, part in groups.items())
-        cells.append(BraidCell(k, entries, blocks, g))
-        return
-    for s in range(lo, len(symbols)):
-        _grow(g, k, symbols, nv, entries + (symbols[s],), s + (s < nv), cells)
+def _singleton_blocks(tail: tuple, first: int) -> tuple:
+    """The blocks of the edge entries ``tail`` on coordinates ``first`` on:
+    each edge's coordinates as singletons, in order, edges ascending as
+    ``tail`` does."""
+    groups: dict[str, list] = {}
+    for i, entry in enumerate(tail, first):
+        groups.setdefault(entry[1], []).append((i,))
+    return tuple((eid, tuple(part)) for eid, part in groups.items())
 
 
-def faces_into(d: BraidCell):
-    """Every nonidentity face-category morphism with target d, as
-    ((source entries, source blocks), datum) pairs, unsorted.
+def face_moves(d: BraidCell):
+    """Every nonidentity face-category morphism with target d, as the list
+    of its moves (coordinate, end, vertex), unsorted.
 
-    This is the one enumeration of face data.  The source is given by its
-    key, the ``(entries, blocks)`` pair that identifies a configuration
-    cell, so callers look it up in an index of the cells they hold instead
-    of building and hashing a ``BraidCell``.
-
-    The admissible per-coordinate data are listed directly: for each edge
-    group of the configuration cell d, the first coordinate of the order
-    may drop to the minus end and the last to the plus end (when those ends
-    are attached); everything else stays interior.  Sources must again be
-    configuration cells, so no two coordinates may land on one vertex.
-    Distinct data with equal sources are distinct morphisms; a loop edge
-    used once contributes two (its two endpoint lifts).  Dropping
-    coordinates keeps the other blocks in order, and d's edge groups are
-    listed by ascending edge id, so the source's blocks need no sort.
+    This is the one enumeration of face data.  A move (i, eps, v) drops
+    coordinate i to its edge's eps end (``END_MINUS`` or ``END_PLUS``), at
+    vertex v; every other coordinate stays interior.  For each edge group of the
+    configuration cell d, the first coordinate of the order may drop to the
+    minus end and the last to the plus end (when those ends are attached).
+    Sources must again be configuration cells, so no two coordinates may
+    land on one vertex, nor on a vertex d already holds.  Distinct data
+    with equal sources are distinct morphisms; a loop edge used once
+    contributes two (its two endpoint lifts).
     """
     g = d.graph
     taken = {x[1] for x in d.entries if x[0] == "v"}
@@ -252,35 +259,53 @@ def faces_into(d: BraidCell):
     for eid, part in d.blocks:
         edge = g.edge(eid)
         first, last = part[0][0], part[-1][0]  # configuration cells: singleton blocks
-        # each option: its (coordinate, end, vertex) moves and the group's
-        # block in the source, which loses the moved ends of the order
-        options = [((), (eid, part))]
+        options = [()]
         if edge.end_minus is not None:
-            options.append((((first, END_MINUS, edge.end_minus),), (eid, part[1:])))
+            options.append(((first, END_MINUS, edge.end_minus),))
         if edge.end_plus is not None:
             if len(part) > 1:
-                options += [
-                    (moves + ((last, END_PLUS, edge.end_plus),), (eid, kept[:-1]))
-                    for moves, (_, kept) in options
-                ]
+                options += [moves + ((last, END_PLUS, edge.end_plus),) for moves in options]
             else:
-                options.append((((first, END_PLUS, edge.end_plus),), (eid, ())))
+                options.append(((first, END_PLUS, edge.end_plus),))
         per_group.append(options)
 
     for combo in product(*per_group):
-        moves = [move for group, _ in combo for move in group]
+        moves = [move for group in combo for move in group]
         if not moves:
             continue  # identity
         landed = [v for _, _, v in moves]
         if len(set(landed)) != len(landed) or not taken.isdisjoint(landed):
             continue  # source would touch the discriminant
-        entries = list(d.entries)
-        data = [INTERIOR] * d.k
+        yield moves
+
+
+def faces_into(d: BraidCell):
+    """Every nonidentity face-category morphism with target d, as
+    ((source entries, source blocks), datum) pairs, unsorted: the moves of
+    ``face_moves`` applied to d.
+
+    The source is given by its key, the ``(entries, blocks)`` pair that
+    identifies a configuration cell, so callers look it up in an index of
+    the cells they hold instead of building and hashing a ``BraidCell``.
+    Each moved coordinate leaves its block, which is its edge's first or
+    last; the other blocks keep their order, and d's edge groups are listed
+    by ascending edge id, so the source's blocks need no sort.
+    """
+    for moves in face_moves(d):
+        entries, data = list(d.entries), [INTERIOR] * d.k
         for i, eps, v in moves:
             entries[i] = ("v", v)
             data[i] = eps
-        blocks = tuple(block for _, block in combo if block[1])
-        yield (tuple(entries), blocks), tuple(data)
+        moved = {i for i, _, _ in moves}
+        blocks = []
+        for eid, part in d.blocks:
+            if part[0][0] in moved:
+                part = part[1:]
+            if part and part[-1][0] in moved:
+                part = part[:-1]
+            if part:
+                blocks.append((eid, part))
+        yield (tuple(entries), tuple(blocks)), tuple(data)
 
 
 def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
@@ -294,24 +319,3 @@ def act_on_cell(sigma: tuple[int, ...], c: BraidCell) -> BraidCell:
     )
     return BraidCell(c.k, relocate(sigma, c.entries), blocks, c.graph)
 
-
-def canonical_order(entries: tuple, blocks: tuple) -> tuple[int, ...]:
-    """The coordinates of the configuration cell ``(entries, blocks)``
-    ranked by (entry key, position along the edge).
-
-    Sending coordinate j to its rank (the permutation sigma) takes the cell
-    to the least cell of its orbit under coordinate permutations: that
-    cell lists its entries in ascending order, and the coordinates sharing
-    an edge take the positions of their entry in the order they run along
-    the edge, since that makes every edge's block order ascending.  So the
-    least cell is fixed by its sorted entries, ``entries[j]`` for j in this
-    order, and it is the one cell of the orbit whose order is the identity.
-    The order itself is sigma's inverse, which takes the least cell to this
-    one (``relocate`` by it).
-
-    Vertex entries rank first and are distinct, so they are sorted by id.
-    The edge coordinates follow in block order: the blocks list the edges
-    in ascending id and each edge's coordinates in the order along it.
-    """
-    verts = sorted([(x[1], j) for j, x in enumerate(entries) if x[0] == "v"])
-    return tuple([j for _, j in verts] + [blk[0] for _, part in blocks for blk in part])

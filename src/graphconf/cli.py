@@ -235,14 +235,17 @@ def cmd_braidgroup(args) -> dict:
     # unordered report is made; the orbit category is freed before the
     # ordered report, which holds the job's peak memory.  The presentation
     # names its generators by the labels of level 1, the only ones it
-    # reads, so on the unordered side only they are made
-    cover = orbit_cover(g, args.k)
-    labels = list(cover[4].labels)
+    # reads, so on the unordered side only they are made.  It reads the
+    # faces of levels 1 and 2, and the free rank whether level 2 is empty,
+    # so the ordered side lifts levels 0-2 alone
+    cat, orbit, perms, right, nerve = orbit_cover(g, args.k)
+    labels = list(nerve.labels)
     if len(labels) > 1:
-        labels[1] = [cover[0].morphism_label(a) for a in cover[0].arrows]
-    unordered = _group_report(SemiSimplicialSet(labels, cover[4].faces))
-    ordered = ordered_nerve(cover)
-    del cover
+        labels[1] = [cat.morphism_label(a) for a in cat.arrows]
+    unordered = _group_report(SemiSimplicialSet(labels, nerve.faces))
+    orbit = SemiSimplicialSet(orbit.labels[:3], orbit.faces[:3])
+    ordered = ordered_nerve((cat, orbit, perms, right))
+    del cat, orbit, nerve
     return {"ordered": _group_report(ordered), "unordered": unordered}
 
 

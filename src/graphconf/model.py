@@ -149,14 +149,27 @@ class OrbitCategory:
     (``member``).  Its sort key is computed then, and its after() list the
     first time a chain reaches it, so no member is made that no chain
     reaches: 366 of the 61,200 cells of theta k=6.  Its label is made on
-    its first ``label`` call, and the homology reports make none.  A
-    morphism is its (source, target, datum) triple.  The objects are
+    its first ``label`` call, from its canonical cell's label parts, made
+    once per canonical cell on first use; the homology reports make none.
+    A morphism is its (source, target, datum) triple.  The objects are
     ``range`` over the canonical cells, the arrows the lifts with a
-    canonical source:
-    ``faces_into`` of canonical cells, moved by the permutation that makes
-    their source canonical.  Each source is canonicalised from its own entries and blocks
-    (``cells.canonical_order``), and no cell is looked up by its entries and
-    blocks.  ``after(m)`` is the list of the arrows out of the orbit of m's
+    canonical source: the faces (``cells.face_moves``) of canonical cells,
+    moved by the permutation that makes their source canonical.
+
+    Each symbol has one integer code, its rank in ``cells.symbols``, which
+    is entry-key order, and a canonical cell is named by its codes, which
+    ascend.  A face of canonical cell d sets each moved coordinate to the
+    code of the vertex it lands on, and a stable sort of the coordinates by
+    those codes is the source's lift, the order in which the least cell of
+    its orbit lists them: the vertex codes are distinct, and the
+    coordinates left on one edge keep d's order along it, which ascends in
+    d, as d is canonical, so the sort ranks them by (entry, position along
+    the edge), as the least cell does.  The source's name is its sorted
+    codes; the lift's inverse sigma moves d to its member sigma . d and the
+    datum to ``data[lift[r]]`` at r, which is ``relocate(sigma, data)``.  No
+    cell is built or looked up.
+
+    ``after(m)`` is the list of the arrows out of the orbit of m's
     target t, moved to t, sorted by (target sort key, datum): the order of
     the ordered model, so chains, labels and faces are those of the
     quotient of the ordered nerve.  Chains are the lifts with a canonical
@@ -196,30 +209,43 @@ class OrbitCategory:
         # per member id: its canonical cell, lift and sort key
         self._canon, self._lift, self._keys = [], [], []
         self._members = {}  # (canonical cell, lift) -> member id
-        # per canonical cell, what its members relocate: its entry keys and
-        # its number of vertex entries, which lead its coordinates; and,
-        # for ``label``, its label's parts
-        self._templates = [(c.sort_key()[0], c.k - c.dimension) for c in canon]
-        self._parts = [c.label_parts() for c in canon]
+        symbols = cl.symbols(canon[0].graph) if canon else []
+        vcode = {x[1]: i for i, x in enumerate(symbols) if x[0] == "v"}
+        code = {x: i for i, x in enumerate(symbols)}
+        # per canonical cell, what its members relocate: its codes and its
+        # number of vertex entries, which lead its coordinates
+        self._codes = [tuple(map(code.__getitem__, c.entries)) for c in canon]
+        self._verts = [c.k - c.dimension for c in canon]
+        self._cells = canon  # for ``label``
+        self._parts = {}  # canonical cell -> its label's parts, made on first use
         self._labels = {}  # member id -> its label, made on the first ``label`` call
-        identity = tuple(range(canon[0].k)) if canon else ()
+        k = canon[0].k if canon else 0
+        identity = tuple(range(k))
         for r in range(len(canon)):
             self.member(r, identity)
         self.objects = range(len(canon))
-        canon_of = {c.entries: r for r, c in enumerate(canon)}
+        canon_of = {codes: r for r, codes in enumerate(self._codes)}
         # _out[t]: after() of a morphism into member t, which lists the
         # arrows out of t's canonical cell moved to t.  A canonical cell's
         # lift is the identity, so its list is the one of its orbit's lifts.
         self._out = {r: [] for r in range(len(canon))}
         self._place = {}  # arrow -> its position in the after() list of its source
         for d, c in enumerate(canon):
-            for (entries, blocks), data in cl.faces_into(c):
-                # move the arrow by sigma, which takes its source to the
-                # least cell: d goes to its member sigma . d
-                lift, key = _least(entries, blocks)
-                sigma = tuple(sorted(range(len(lift)), key=lift.__getitem__))
-                m = (canon_of[key], self.member(d, sigma), cl.relocate(sigma, data))
-                self._out[m[0]].append(m)
+            for moves in cl.face_moves(c):
+                codes, data = list(self._codes[d]), [cl.INTERIOR] * k
+                for i, eps, v in moves:
+                    codes[i] = vcode[v]
+                    data[i] = eps
+                # the source's lift, and its inverse sigma, which moves the
+                # arrow so that its source is the least cell: d goes to its
+                # member sigma . d
+                lift = sorted(identity, key=codes.__getitem__)
+                sigma = [0] * k
+                for r, j in enumerate(lift):
+                    sigma[j] = r
+                source = canon_of[tuple(map(codes.__getitem__, lift))]
+                m = (source, self.member(d, tuple(sigma)), tuple(map(data.__getitem__, lift)))
+                self._out[source].append(m)
         for r in range(len(canon)):
             self._listed(r, sorted(self._out[r], key=self._order))
         self.arrows = [m for r in range(len(canon)) for m in self._out[r]]
@@ -230,19 +256,19 @@ class OrbitCategory:
         its key on the first call.
 
         Its key orders members as ``BraidCell.sort_key`` does, with no cell
-        built: its entry keys, then the images under the lift of the
-        canonical cell's edge coordinates, which follow its vertex ones in
-        block order.  Members with equal entries share an orbit, so their
-        blocks list the images of the same coordinates, in groups of the
-        same sizes, and compare as those images do.
+        built: its codes, which compare as its entries do, then the images
+        under the lift of the canonical cell's edge coordinates, which
+        follow its vertex ones in block order.  Members with equal entries
+        share an orbit, so their blocks list the images of the same
+        coordinates, in groups of the same sizes, and compare as those
+        images do.
         """
         got = self._members.get((r, lift))
         if got is None:
             got = self._members[r, lift] = len(self._lift)
-            entry_keys, verts = self._templates[r]
             self._canon.append(r)
             self._lift.append(lift)
-            self._keys.append(cl.relocate(lift, entry_keys) + lift[verts:])
+            self._keys.append(cl.relocate(lift, self._codes[r]) + lift[self._verts[r]:])
         return got
 
     def _order(self, m: tuple) -> tuple:
@@ -283,7 +309,10 @@ class OrbitCategory:
         """Member t's label: its canonical cell's, the parts relocated by its lift."""
         got = self._labels.get(t)
         if got is None:
-            parts = self._parts[self._canon[t]]
+            r = self._canon[t]
+            parts = self._parts.get(r)
+            if parts is None:
+                parts = self._parts[r] = self._cells[r].label_parts()
             got = self._labels[t] = cl.cell_label(cl.relocate(self._lift[t], parts))
         return got
 
@@ -306,14 +335,6 @@ class OrbitCategory:
 
     def compose(self, m2: tuple, m1: tuple) -> tuple:
         return (m1[0], m2[1], cl.compose_data(m2[2], m1[2]))
-
-
-def _least(entries: tuple, blocks: tuple) -> tuple:
-    """(lift, key) of the configuration cell ``(entries, blocks)``: the
-    permutation taking the least cell of its orbit to it, and that cell's
-    key, its sorted entries (``cells.canonical_order``)."""
-    lift = cl.canonical_order(entries, blocks)
-    return lift, tuple(map(entries.__getitem__, lift))
 
 
 def orbit_cover(g: gr.Graph, k: int) -> tuple:
@@ -406,7 +427,9 @@ def ordered_nerve(cover: tuple) -> SemiSimplicialSet:
     the orbit nerve's k!-sheeted cover that the function ``cover`` lifts
     (``nerve.lift_faces``), in the order and with the labels of
     ``build_nerve(face_category(configuration_cells(g, k)))``.  No
-    configuration cell, face category or ordered composite is made.
+    configuration cell, face category or ordered composite is made.  Each
+    level is sorted from the levels below it alone, so ``orbit`` cut to its
+    levels 0..n gives the model's levels 0..n (``cli.cmd_braidgroup``).
 
     Cover chain x * k! + i is perms[i] applied to orbit chain x's lift with
     a canonical bottom cell.  One sort per level puts the cover in the

@@ -243,3 +243,51 @@ def test_model_theta_4_collapse_pinned(capsys, tmp_path):
     code, out, err = run(capsys, "model", "--graph", path, "-k", "4", "--collapse")
     assert code == 0, err
     assert out == THETA_4_COLLAPSE
+
+
+@pytest.mark.parametrize(
+    "graph, k, expected",
+    [
+        # one edge a-b: its configuration space is contractible, chi = 1 (Gal)
+        ({"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"]}]}, 2000,
+         '{"betti":[1,0,0],"components":1,"dimension":2,"euler":1,'
+         '"fvector":[4,5,2],"torsion":[[],[],[]]}\n'),
+        # the minimal circle, one loop at one vertex: a circle, chi = 0
+        ({"vertices": ["v"], "edges": [{"id": "a", "ends": ["v", "v"]}]}, 1200,
+         '{"betti":[1,1],"components":1,"dimension":1,"euler":0,'
+         '"fvector":[2,2],"torsion":[[],[]]}\n'),
+    ],
+    ids=["interval-2000", "circle-1200"],
+)
+def test_quotient_at_k_beyond_the_recursion_limit(capsys, tmp_path, graph, k, expected):
+    # the canonical cells are k symbols long, and are built with no
+    # recursion k deep
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "model", "--graph", str(path), "-k", str(k), "--quotient")
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_braidgroup_lifts_levels_0_to_2(capsys, tmp_path, monkeypatch):
+    # the presentation reads the faces of levels 1 and 2 and the free rank
+    # whether level 2 is empty, so K4 k=3's level 3 of 3,888 ordered chains
+    # is not lifted
+    g = k4()
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "ends": [e.end_minus, e.end_plus]} for e in g.edges],
+    }))
+    real, levels = model.lift_faces, []
+
+    def recorded(faces, *args):
+        levels.append(len(faces))
+        return real(faces, *args)
+
+    monkeypatch.setattr(model, "lift_faces", recorded)
+    code, out, err = run(capsys, "braidgroup", "--graph", str(path), "-k", "3")
+    assert code == 0, err
+    assert levels and max(levels) <= 3
+    report = json.loads(out)
+    assert report["ordered"]["abelianization"] == {"rank": 12, "torsion": []}

@@ -358,7 +358,7 @@ def test_clearing_matches_reference_on_hidden_torsion(case):
 @settings(max_examples=60, deadline=None)
 @given(hidden_torsion_complexes())
 def test_integer_residue_holds_no_unit(case):
-    # the sweeps leave no +-1 entry, so the dense reduction of the residue
+    # the sweeps leave no +-1 entry, so the sparse Smith loop on the residue
     # alone gives the homology
     cc = case[0]
     sizes, residue = reduce(cc)

@@ -28,6 +28,7 @@ from graphconf.nerve import (
 )
 from graphconf.reduced import _keep_chain, build_reduced
 from test_cells import morphisms_into
+from test_orbit_category_reference import canonical_order
 from test_orbit_nerve import k4, k33, small_multigraphs, xb
 
 
@@ -104,7 +105,7 @@ def orbit_nerve(objs):
     from the orbit category on their canonical cells, the ones whose
     ``canonical_order`` is the identity, as ``model_complex(g, k,
     quotient=True)`` builds it from ``canonical_cells``."""
-    canon = [c for c in objs if cl.canonical_order(c.entries, c.blocks) == tuple(range(c.k))]
+    canon = [c for c in objs if canonical_order(c.entries, c.blocks) == tuple(range(c.k))]
     return build_nerve(OrbitCategory(canon))
 
 
