@@ -15,7 +15,7 @@ from .graphs import (
     valency,
 )
 from .homology import ChainComplex, chain_complex, smith_normal_form
-from .model import build_model, face_category, model_complex
+from .model import build_model, face_category
 from .nerve import SemiSimplicialSet, build_nerve, collapse_free_faces, dimension, quotient_by_free_action
 from .pi1 import Presentation, abelianization, free_rank, presentation, simplify, spanning_tree
 from .reduced import GluedComplex, build_reduced, classify_2cells, glued_chain_complex
@@ -47,7 +47,6 @@ __all__ = [
     "free_rank",
     "glued_chain_complex",
     "in_discriminant",
-    "model_complex",
     "presentation",
     "quotient_by_free_action",
     "remove_leaves",

@@ -28,9 +28,9 @@ from .homology import chain_complex, homology
 from .model import (
     collapsed_cover,
     cover_chain_complex,
-    model_complex,
     orbit_cover,
     ordered_nerve,
+    unordered_model,
 )
 from .nerve import SemiSimplicialSet, collapse_free_faces, quotient_by_free_action
 from .reduced import build_reduced, glued_chain_complex, reduced_symmetric_action
@@ -191,33 +191,42 @@ def _load(path: str) -> gr.Graph:
         raise ValueError(str(exc)) from exc
 
 
+def _model_graph(g: gr.Graph, args) -> gr.Graph:
+    """The graph that a report's model reads: ``g`` with its leaves removed
+    for ``--remove-leaves``.  Only here are leaves removed; the model
+    builders take the graph they are given."""
+    return gr.remove_leaves(g) if args.remove_leaves else g
+
+
 def cmd_model(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
+    g = _model_graph(g, args)
     if args.quotient:
-        # the report reads no label, so the orbit nerve is built without
-        s = model_complex(g, args.k, drop_leaves=args.remove_leaves, quotient=True, labels=False)
-        return _report_of_complex(s, collapse=args.collapse)
+        # the report reads no label, and the orbit nerve is built without
+        return _report_of_complex(unordered_model(g, args.k)[1], collapse=args.collapse)
     # the report reads neither chain order nor labels.  With --collapse the
     # f-vector is that of the collapse: k! times the collapsed orbit
     # nerve's, whose cover is a maximal free-face collapse of the model
-    fvector, small, right = collapsed_cover(g, args.k, drop_leaves=args.remove_leaves)
+    fvector, small, right = collapsed_cover(g, args.k)
     if args.collapse:
         fvector = [len(right) * n for n in small.fvector()]
     return _collapsed_report(fvector, small, right)
 
 
 def _group_report(s: SemiSimplicialSet) -> dict:
-    simplified = pi1.simplify(pi1.presentation(s))
+    p = pi1.presentation(s)
+    # one relator per 2-chain: with none, the group is free on the
+    # generators, one per edge off the spanning tree of the connected
+    # complex (``presentation`` refuses a disconnected one), so their
+    # number is ``pi1.free_rank``, 1 - chi, with no second skeleton
+    free = None if p.relators else len(p.generators)
     # Tietze moves keep the group, so its abelianization
-    rank, torsion = pi1.abelianization(simplified)
-    try:
-        free = pi1.free_rank(s)
-    except InputError:
-        free = None
+    p = pi1.simplify(p)
+    rank, torsion = pi1.abelianization(p)
     return {
-        "presentation": simplified.to_json(),
+        "presentation": p.to_json(),
         "abelianization": {"rank": rank, "torsion": torsion},
         "free_rank": free,
     }
@@ -227,8 +236,7 @@ def cmd_braidgroup(args) -> dict:
     g = _load(args.graph)
     if args.k < 1:
         raise InputError("k must be >= 1")
-    if args.remove_leaves:
-        g = gr.remove_leaves(g)
+    g = _model_graph(g, args)
     # one orbit nerve serves both sides: it is the unordered model, and the
     # ordered model is its S_k-cover (``nerve.lift_faces``), which
     # ``ordered_nerve`` sorts into the nerve's order and labels once the
@@ -236,8 +244,8 @@ def cmd_braidgroup(args) -> dict:
     # ordered report, which holds the job's peak memory.  The presentation
     # names its generators by the labels of level 1, the only ones it
     # reads, so on the unordered side only they are made.  It reads the
-    # faces of levels 1 and 2, and the free rank whether level 2 is empty,
-    # so the ordered side lifts levels 0-2 alone
+    # faces of levels 1 and 2, and the free rank whether it has a relator,
+    # one per chain of level 2, so the ordered side lifts levels 0-2 alone
     cat, orbit, perms, right, nerve = orbit_cover(g, args.k)
     labels = list(nerve.labels)
     if len(labels) > 1:
@@ -264,7 +272,9 @@ def cmd_compare(args) -> dict:
     fine = gr.subdivide(g, n)
     conditions = check_abrams_conditions(fine, args.k)
     abrams_report = _abrams_report(abrams_complex(fine, args.k, quotient=True))
-    model_report = _collapsed_report(*collapsed_cover(g, args.k, drop_leaves=args.remove_leaves))
+    # the Abrams side reads the closed graph, and only the model side
+    # removes leaves
+    model_report = _collapsed_report(*collapsed_cover(_model_graph(g, args), args.k))
     # the cross-check passes only on a subdivision where Abrams' complex is
     # homotopy-correct, and only if the whole homology agrees
     match = (
@@ -284,9 +294,7 @@ def cmd_reduced(args) -> dict:
     g = _load(args.graph)
     if args.k != 2:
         raise InputError("the reduced model is defined for k = 2 only")
-    if args.remove_leaves:
-        g = gr.remove_leaves(g)
-    gc = build_reduced(g)
+    gc = build_reduced(_model_graph(g, args))
     if args.quotient:
         s = quotient_by_free_action(gc.complex, reduced_symmetric_action(gc))
         report = _report_of_complex(s)

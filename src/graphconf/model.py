@@ -2,8 +2,9 @@
 
 This is the glue the CLI and tests use: it builds the nerve of the orbit
 category C/S_k of the face category C of configuration cells, and from it
-the ordered or the unordered model, optionally removing leaves first, or,
-for the ordered model's homology, a collapse of it.
+the ordered or the unordered model, or, for the ordered model's homology,
+a collapse of it.  Each builder takes the graph it is given: only the CLI
+removes leaves (``--remove-leaves``).
 
 The unordered model is the nerve of C/S_k, which ``build_nerve`` builds
 from the orbit category: S_k acts freely on configuration cells, so
@@ -34,19 +35,20 @@ model (``collapsed_cover``), whose rank H_0 is its number of components.
 ``model --collapse`` prints that collapse's f-vector.  Only ``braidgroup``,
 which reads labels, builds the whole cover; ``cover`` lifts for the tests.
 
-One orbit nerve serves both sides.  ``orbit_cover`` builds it once,
-unlabelled (``build_nerve(cat, labels=False)``), and hands it back twice:
-labelled by lam, the base of the ordered model's cover, and as the
-unordered model, each level a ``range``.  No homology report prints a
-chain label, and ``model --quotient`` builds the orbit nerve unlabelled
-too (``model_complex``).  ``braidgroup`` labels the unordered model's level 1 from the orbit
+One orbit nerve serves both sides, and ``unordered_model`` is its one
+builder: unlabelled (``build_nerve(cat, labels=False)``), each level a
+``range``.  ``model --quotient`` reports on it, as no homology report
+prints a chain label.  ``orbit_cover`` hands it back twice: labelled by
+lam, the base of the ordered model's cover, and as the unordered model.
+``braidgroup`` labels the unordered model's level 1 from the orbit
 category, reports on it, and then builds the ordered one from the same
 ``orbit_cover`` result.
 
 ``build_model`` builds C on every configuration cell and takes its nerve
 with ``build_nerve``.  Only the two-point model (``reduced.build_reduced``)
 reads it, for its category and cells, and the tests use it as the
-reference for ``ordered_nerve``.
+reference for ``ordered_nerve``; they compose the model with its options
+from the builders here.
 """
 
 from dataclasses import dataclass
@@ -337,13 +339,19 @@ class OrbitCategory:
         return (m1[0], m2[1], cl.compose_data(m2[2], m1[2]))
 
 
+def unordered_model(g: gr.Graph, k: int) -> tuple:
+    """(cat, nerve): the orbit category on the canonical cells of (g, k)
+    and its nerve, the unordered model, built with no label
+    (``build_nerve(cat, labels=False)``), so each level is a ``range``."""
+    cat = OrbitCategory(cl.canonical_cells(g, k))
+    return cat, build_nerve(cat, labels=False)
+
+
 def orbit_cover(g: gr.Graph, k: int) -> tuple:
     """What the ordered model is built from as the k!-sheeted cover of the
-    orbit nerve: (cat, orbit, perms, right, nerve).  ``cat`` is the orbit
-    category on the canonical cells of (g, k), ``nerve`` its nerve, the
-    unordered model, built with no label (``build_nerve(cat,
-    labels=False)``): each level is a ``range``, and ``braidgroup``, the
-    one report that prints its labels, labels level 1 from ``cat``.
+    orbit nerve: (cat, orbit, perms, right, nerve).  ``cat`` and ``nerve``
+    are those of ``unordered_model``; ``braidgroup``, the one report that
+    prints the nerve's labels, labels level 1 from ``cat``.
     ``orbit`` is the same nerve with every chain c of
     level n >= 1 labelled by lam_c, the rank of the lift of its second
     object.  An arrow's is its target's lift; a longer chain's is its
@@ -353,8 +361,7 @@ def orbit_cover(g: gr.Graph, k: int) -> tuple:
     empty with the nerve, so none is made where no cell fits.  ``orbit``
     and ``nerve`` share their faces.
     """
-    cat = OrbitCategory(cl.canonical_cells(g, k))
-    nerve = build_nerve(cat, labels=False)
+    cat, nerve = unordered_model(g, k)
     if not nerve.labels:
         return cat, nerve, [], [], nerve
     right = Permutations(k)
@@ -393,20 +400,18 @@ def cover(orbit: SemiSimplicialSet, right) -> SemiSimplicialSet:
     return SemiSimplicialSet(labels, lift_faces(orbit.faces, _twists(orbit), right, None))
 
 
-def collapsed_cover(g: gr.Graph, k: int, drop_leaves: bool = False) -> tuple:
+def collapsed_cover(g: gr.Graph, k: int) -> tuple:
     """(fvector, small, right): the ordered model's f-vector, the free-face
     collapse ``small`` of the lam-labelled orbit nerve ``orbit`` and the
-    table ``right`` of ``orbit_cover``, with leaves removed first if
-    ``drop_leaves``.  The whole ordered model, ``cover(orbit, right)``, is
-    checked on the orbit nerve (``validate_cover``), and neither it nor its
-    labels are made: the homology reports read neither order nor labels.
+    table ``right`` of ``orbit_cover``.  The whole ordered model,
+    ``cover(orbit, right)``, is checked on the orbit nerve
+    (``validate_cover``), and neither it nor its labels are made: the
+    homology reports read neither order nor labels.
     ``cover(small, right)`` is a collapse of the ordered model
     (``nerve.lift_faces``), and ``cover_chain_complex(small, right)`` has its
     homology.  It is a maximal one: a lifted chain has as many cofaces as
     its orbit, so the cover of ``small`` has no free face left.
     """
-    if drop_leaves:
-        g = gr.remove_leaves(g)
     # the orbit category is freed before the collapse
     _, orbit, _, right, _ = orbit_cover(g, k)
     validate_cover(orbit, right)
@@ -474,19 +479,3 @@ def ordered_nerve(cover: tuple) -> SemiSimplicialSet:
             labels.append(paths)
         faces.append(level)
     return SemiSimplicialSet(labels, faces)
-
-
-def model_complex(
-    g: gr.Graph, k: int, drop_leaves: bool = False, quotient: bool = False, labels: bool = True
-) -> SemiSimplicialSet:
-    """The configuration model as a semi-simplicial set, with options applied
-    in the order: leaf removal, quotient.  The quotient is the orbit nerve,
-    the nerve of ``OrbitCategory`` on the canonical cells, built with no
-    label if ``labels`` is false (``build_nerve``).  The ordered model is
-    its cover (``ordered_nerve``), which always has its labels.  Neither
-    builds the face category on every configuration cell."""
-    if drop_leaves:
-        g = gr.remove_leaves(g)
-    if quotient:
-        return build_nerve(OrbitCategory(cl.canonical_cells(g, k)), labels)
-    return ordered_nerve(orbit_cover(g, k))

@@ -60,7 +60,6 @@ class AcyclicCategory:
         self.out_of = [[] for _ in self.objects]
         for i, (s, _, _) in enumerate(self.morphisms):
             self.out_of[s].append(i)
-        self._compose_cache: dict[tuple[int, int], int] = {}
         # ``build_nerve``'s view, in which an arrow is a morphism index.  The
         # nerve calls these per chain, so each is a C-level lookup.
         labels = self._labels = [self.object_label(i) for i in range(len(self.objects))]
@@ -76,9 +75,6 @@ class AcyclicCategory:
 
     def compose(self, m2: int, m1: int) -> int:
         """Index of the composite of morphism m1 followed by m2."""
-        got = self._compose_cache.get((m2, m1))
-        if got is not None:
-            return got
         s1, t1, k1 = self.morphisms[m1]
         s2, t2, k2 = self.morphisms[m2]
         if t1 != s2:
@@ -89,7 +85,6 @@ class AcyclicCategory:
             raise InvalidCategory(
                 "composite of two stored morphisms is not a stored morphism"
             )
-        self._compose_cache[(m2, m1)] = idx
         return idx
 
     def object_label(self, i: int) -> str:

@@ -11,7 +11,7 @@ from graphconf.abrams import (
 )
 from graphconf.errors import NonFreeAction, OpenEdge
 from graphconf.homology import ChainComplex, chain_complex, homology
-from graphconf.model import model_complex
+from reference_model import model_complex
 
 
 # The chain complex of an ordered cube complex divided by S_k, orbit by

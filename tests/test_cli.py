@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+from graphconf import pi1
 from graphconf.cli import main
 from graphconf.nerve import collapse_free_faces
+from graphconf.pi1 import skeleton
 
 
 def run(capsys, *argv):
@@ -124,6 +126,24 @@ def test_braidgroup_double_hub_rank(capsys, tmp_path):
     code, out, _ = run(capsys, "braidgroup", "--graph", path, "-k", "2")
     report = json.loads(out)
     assert report["unordered"]["abelianization"]["rank"] == 8
+
+
+def test_braidgroup_builds_one_skeleton_per_side(capsys, tmp_path, monkeypatch):
+    # the free rank of a 1-dimensional side is read off its presentation,
+    # whose relators are its 2-chains, with no second skeleton
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return skeleton(s)
+
+    monkeypatch.setattr(pi1, "skeleton", counted)
+    path = write_graph(capsys, tmp_path, "s1_min")
+    code, out, err = run(capsys, "braidgroup", "--graph", path, "-k", "2")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["ordered"]["free_rank"] == report["unordered"]["free_rank"] == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,8 @@ import pytest
 
 from graphconf import graphs as gr
 from graphconf import homology, nerve
-from graphconf.model import model_complex
 from graphconf.reduced import build_reduced
+from reference_model import model_complex
 from test_cli import run
 from test_orbit_nerve import k4
 

@@ -33,6 +33,7 @@ from graphconf.homology import (
     twisted_chain_complex,
 )
 from graphconf.nerve import Permutations, SemiSimplicialSet, collapse_free_faces
+from reference_model import model_complex
 from test_orbit_nerve import k4, k33, small_multigraphs, xb
 from test_ordered_report import graph_file, run
 
@@ -71,7 +72,7 @@ def test_reduction_is_the_covers(graph, k):
 def test_trivial_group_keeps_the_orbit_nerves_torsion(k):
     # the 1-sheeted cover is the orbit nerve itself, and unordered K3,3 has
     # Z/2 in H_1, which the residue must carry to the integer reduction
-    orbit = model.model_complex(k33(), k, quotient=True)
+    orbit = model_complex(k33(), k, quotient=True)
     twists = [[]] + [[None] * (n + 1) for n in range(1, len(orbit.faces))]
     got = homology(
         twisted_chain_complex(orbit.labels, orbit.faces, twists, Permutations(1), alternating_signs)
@@ -332,7 +333,7 @@ def test_model_collapse_reports_the_ordered_model(tmp_path):
     path = graph_file(tmp_path, k4())
     code, out, err = run(["model", "--graph", path, "-k", "3", "--collapse"])
     assert code == 0, err
-    s = collapse_free_faces(model.model_complex(k4(), 3))
+    s = collapse_free_faces(model_complex(k4(), 3))
     report = json.loads(out)
     assert report["fvector"] == list(s.fvector())
     hom = homology(chain_complex(s))

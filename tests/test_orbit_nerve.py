@@ -8,8 +8,9 @@ from graphconf import cells as cl
 from graphconf import graphs as gr
 from graphconf import model
 from graphconf.homology import chain_complex, homology
-from graphconf.model import OrbitCategory, build_model, model_complex, symmetric_action
+from graphconf.model import OrbitCategory, build_model, symmetric_action
 from graphconf.nerve import build_nerve, quotient_by_free_action
+from reference_model import model_complex
 
 
 def k4():

@@ -8,10 +8,11 @@ from graphconf import graphs as gr
 from graphconf import pi1
 from graphconf.errors import Disconnected, NotOneDimensional
 from graphconf.homology import chain_complex, homology
-from graphconf.model import build_model, model_complex, symmetric_action
+from graphconf.model import build_model, symmetric_action
 from graphconf.nerve import quotient_by_free_action
 from graphconf.pi1 import Presentation
 from graphconf.reduced import build_reduced
+from reference_model import model_complex
 from test_nerve_reference import orbit_nerve
 from test_orbit_nerve import small_multigraphs
 

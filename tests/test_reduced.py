@@ -3,7 +3,6 @@ import pytest
 from graphconf import graphs as gr
 from graphconf.errors import Disconnected, HasLeaves
 from graphconf.homology import chain_complex, homology
-from graphconf.model import model_complex
 from graphconf.nerve import SemiSimplicialSet, quotient_by_free_action
 from graphconf.reduced import (
     GluedComplex,
@@ -12,6 +11,7 @@ from graphconf.reduced import (
     glued_chain_complex,
     reduced_symmetric_action,
 )
+from reference_model import model_complex
 
 
 def reduced_betti(res):
